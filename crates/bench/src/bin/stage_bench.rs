@@ -4,8 +4,8 @@
 //! were rewritten for throughput (entropy coding, zlite, the store CRC, the
 //! prediction walk) — diffs the new kernels against the frozen pre-rewrite
 //! references (`cliz::entropy::reference`, `cliz::lossless::reference`,
-//! `cliz::store::checksum::ref_crc32`, `cliz::predict::ref_predict_quantize`)
-//! on every run:
+//! `cliz::store::checksum::ref_crc32`, `cliz::predict::ref_predict_quantize`,
+//! `cliz::predict::ref_reconstruct`) on every run:
 //!
 //! 1. **entropy encode/decode** — canonical-Huffman stream coding. The new
 //!    word-at-a-time writer must produce byte-identical streams, the packed
@@ -25,12 +25,13 @@
 //! 4. **quant classify/shift** — per-position classification and the
 //!    shift/unshift transforms (unshift must invert shift exactly);
 //! 5. **predict quantize/reconstruct** — the interpolation walk. The
-//!    three-phase branch-hoisted encode walk is diffed against the frozen
-//!    reference (escape count, symbol grid, and reconstruction bits) and
-//!    gated on speedup; the decoder reconstruction must equal the encoder's
-//!    in-place buffer bit-for-bit. The `_masked` pair repeats both on the
-//!    same field with a land block (the masked stencil), with the same
-//!    identity gates and no speedup gate.
+//!    run-kernel encode walk is diffed against the frozen reference
+//!    (escape count, symbol grid, and reconstruction bits) and gated on
+//!    speedup; the decoder's reconstruction must equal the encoder's
+//!    in-place buffer and the frozen decoder's output bit-for-bit, and is
+//!    gated on speedup too. The `_masked` pair repeats both on the same
+//!    field with a land block (the masked stencil), with the same identity
+//!    gates and no speedup gate.
 //!
 //! Speedup-gated pairs are timed *interleaved* (new/reference alternating
 //! inside one loop, best-of-N each) so clock drift and host noise land on
@@ -52,7 +53,9 @@ use cliz::entropy::huffman::{decode_stream, encode_stream};
 use cliz::entropy::reference::{ref_decode_stream, ref_encode_stream};
 use cliz::lossless::reference::{ref_compress, ref_decompress};
 use cliz::lossless::{compress, decompress};
-use cliz::predict::{predict_quantize, ref_predict_quantize, reconstruct, Fitting, InterpParams};
+use cliz::predict::{
+    predict_quantize, reconstruct, ref_predict_quantize, ref_reconstruct, Fitting, InterpParams,
+};
 use cliz::quant::classify::{apply_shifts, unapply_shifts};
 use cliz::quant::{classify, ClassifySpec, LinearQuantizer, ESCAPE};
 use cliz::store::checksum::{crc32, ref_crc32};
@@ -93,6 +96,11 @@ fn time_pair<A, B>(
         best_ref = best_ref.min(t0.elapsed().as_secs_f64());
     }
     (best_new, best_ref)
+}
+
+/// Whether two buffers hold the same f32 bits.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 fn json_f64(v: f64) -> String {
@@ -428,10 +436,9 @@ fn main() {
 
     // --- predict: interpolation walk, both directions ---
     // Encode side diffed against the frozen single-loop reference: the
-    // branch-hoisted three-phase walk must reproduce the exact escape
-    // count, symbol grid, and reconstruction bits, and beat the reference
-    // by the encode gate. More reps than the other pairs: this ratio sits
-    // closest to its gate.
+    // run-kernel walk must reproduce the exact escape count, symbol grid,
+    // and reconstruction bits, and beat the reference by the encode gate.
+    // More reps than the other pairs: this ratio sat closest to its gate.
     let (pq_s, ref_pq_s) = time_predict_pair(&field, &dims, &params, &q, reps.max(7));
     let (_, _, pq_ok) = predict_identity(&field, &dims, &params, &q);
     check("predict quantize != frozen reference", pq_ok);
@@ -441,14 +448,21 @@ fn main() {
         .filter(|&(&s, _)| s == ESCAPE)
         .map(|(_, &v)| v)
         .collect();
+    // Decode side: timed interleaved against the frozen per-point decoder,
+    // and diffed against both the encoder's buffer and that decoder.
+    let rec = |out: &mut [f32]| reconstruct(out, &dims, &params, &q, &symbols_grid, &literals, 0.0);
+    let ref_rec =
+        |out: &mut [f32]| ref_reconstruct(out, &dims, &params, &q, &symbols_grid, &literals, 0.0);
     let mut out = vec![0.0f32; field.len()];
-    let rec_s = time_best(reps, || {
-        reconstruct(&mut out, &dims, &params, &q, &symbols_grid, &literals, 0.0)
-    });
-    reconstruct(&mut out, &dims, &params, &q, &symbols_grid, &literals, 0.0)
-        .expect("reconstruct");
-    let rec_ok = out == buf;
-    check("predict reconstruct != encoder reconstruction", rec_ok);
+    let mut ref_out = vec![0.0f32; field.len()];
+    let (rec_s, ref_rec_s) = time_pair(reps.max(7), || rec(&mut out), || ref_rec(&mut ref_out));
+    rec(&mut out).expect("reconstruct");
+    ref_rec(&mut ref_out).expect("ref_reconstruct");
+    let rec_ok = out == buf && same_bits(&out, &ref_out);
+    check(
+        "predict reconstruct != encoder reconstruction / frozen decoder",
+        rec_ok,
+    );
     stages.push(Stage {
         name: "predict_quantize",
         input_mb: field_mb,
@@ -461,15 +475,17 @@ fn main() {
         name: "predict_reconstruct",
         input_mb: field_mb,
         new_s: rec_s,
-        ref_s: None,
+        ref_s: Some(ref_rec_s),
         identical: rec_ok,
     });
+    let rec_speedup = ref_rec_s / rec_s;
 
     // --- predict, masked: the same walk over a field with a land block ---
     // The masked stencil on both sides. Identity gates only: the encoder
     // against the frozen reference, and the decoder against the encoder's
-    // buffer at valid points and the fill at masked ones. The speedup over
-    // the reference is reported, not gated.
+    // buffer at valid points and the fill at masked ones, and against the
+    // frozen decoder everywhere. The speedups over the references are
+    // reported, not gated.
     let land = land_mask(&dims);
     let fill = 1.0e35f32;
     let masked_field: Vec<f32> = field
@@ -488,16 +504,18 @@ fn main() {
         .filter(|&((&s, _), &ocean)| ocean && s == ESCAPE)
         .map(|((_, &v), _)| v)
         .collect();
-    let mrec_s = time_best(reps, || {
-        reconstruct(&mut out, &dims, &mparams, &q, &msyms, &mliterals, fill)
-    });
-    reconstruct(&mut out, &dims, &mparams, &q, &msyms, &mliterals, fill).expect("reconstruct");
-    let mrec_ok =
-        out.iter().zip(&mbuf).zip(&land).all(|((o, e), &ocean)| {
+    let mrec = |out: &mut [f32]| reconstruct(out, &dims, &mparams, &q, &msyms, &mliterals, fill);
+    let ref_mrec =
+        |out: &mut [f32]| ref_reconstruct(out, &dims, &mparams, &q, &msyms, &mliterals, fill);
+    let (mrec_s, ref_mrec_s) = time_pair(reps, || mrec(&mut out), || ref_mrec(&mut ref_out));
+    mrec(&mut out).expect("reconstruct");
+    ref_mrec(&mut ref_out).expect("ref_reconstruct");
+    let mrec_ok = same_bits(&out, &ref_out)
+        && out.iter().zip(&mbuf).zip(&land).all(|((o, e), &ocean)| {
             o.to_bits() == if ocean { e.to_bits() } else { fill.to_bits() }
         });
     check(
-        "masked predict reconstruct != encoder reconstruction",
+        "masked predict reconstruct != encoder reconstruction / frozen decoder",
         mrec_ok,
     );
     stages.push(Stage {
@@ -511,7 +529,7 @@ fn main() {
         name: "predict_reconstruct_masked",
         input_mb: field_mb,
         new_s: mrec_s,
-        ref_s: None,
+        ref_s: Some(ref_mrec_s),
         identical: mrec_ok,
     });
 
@@ -538,11 +556,16 @@ fn main() {
     //   scores ~0.9× or worse, well below the floor). Bit-identity plus
     //   the walk's strided-stencil memory traffic bound the ceiling here:
     //   the win is real but modest, and the gate says so.
+    // * predict reconstruct ≥ 1.6× — run-kernel decode walk over the
+    //   frozen per-point decoder (observed 1.86–2.75× over ten runs on
+    //   the 2-core host; the scratch-and-commit walk it replaced scored
+    //   1.27–1.48× against the same decoder).
     let gated = !args.quick;
-    let gates: [(&str, f64, f64); 3] = [
+    let gates: [(&str, f64, f64); 4] = [
         ("entropy_decode", decode_speedup, 3.0),
         ("zlite_compress", compress_speedup, 1.4),
         ("predict_quantize", pq_speedup, 1.02),
+        ("predict_reconstruct", rec_speedup, 1.6),
     ];
     println!();
     for (name, got, min) in gates {

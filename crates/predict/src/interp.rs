@@ -3,44 +3,56 @@
 //!
 //! Both sides walk the identical point sequence; compression quantizes
 //! `value − prediction` into a symbol grid, decompression replays the symbols
-//! into reconstructions. Keeping the walk in one function (generic over a
-//! small visitor closure) makes encode/decode divergence structurally
-//! impossible.
+//! into reconstructions. One [`walk`] serves both, generic over a [`Side`]
+//! that turns each run of predictions into values, so encode and decode
+//! cannot diverge in traversal.
 //!
-//! A pass of the walk never reads what it writes, so it may predict every
-//! target before committing any. The two sides use that differently, chosen
-//! by [`walk`]'s `BATCH` flag:
+//! A pass of the walk never reads what it writes: its targets sit at odd
+//! multiples of the stride `s` along the active dimension, every reference
+//! at an even multiple. The walk turns that into disjoint borrows. It hands
+//! the side each pass's targets as runs — `count` targets `2s` apart along
+//! the trailing dimension, one mutable slice — and computes their
+//! predictions from slices that cannot overlap that run:
 //!
-//! * Encode runs three phases per pass: predict into a scratch, quantize
-//!   the batch in a flat loop, commit. The quantizer's long arithmetic
-//!   chain then runs in a loop of its own instead of waiting on each
-//!   stencil. With the masked stencil below, encode of a masked slab
-//!   shaped like the archive benchmark's (`[240, 8, 120]`, 70% valid, one
-//!   thread) took 0.66–0.70 of the time of a two-phase walk that sends
-//!   masked points through a general per-reference stencil (a closure and
-//!   an `Option` per reference), timed interleaved in one process;
-//!   unmasked, 0.93–0.97.
-//! * Decode keeps two phases: the visitor reconstructs as each prediction
-//!   is made, then the pass commits. Its visitor is one multiply-add, too
-//!   short to repay a second loop over the batch: on the same slab
-//!   unmasked, a three-phase decode took 0.99–1.04 of that walk's time
-//!   against 0.89–0.97 for two phases, and it was no faster masked.
+//! * a strided pass (any dimension but the trailing one) splits each
+//!   target run from its `±s` and `±3s` reference runs with
+//!   `split_at_mut`; the reference runs have the target run's layout, so
+//!   the stencil zips them;
+//! * a trailing pass copies the line's references (its even multiples of
+//!   `s`) into one hoisted buffer, padded with invalid slots so the
+//!   boundary targets read whole windows, and writes the odd multiples in
+//!   place.
+//!
+//! The side writes each target as its prediction arrives: there is no
+//! scratch of values and no commit loop, and the compiler knows no stencil
+//! load aliases a store. How it writes depends on the direction:
+//!
+//! * Decode reconstructs each target from its symbol as it is predicted,
+//!   with the level's quantizer held in a local. A section whose
+//!   validation pass found no escape runs a body with no escape test.
+//! * Encode predicts a run into a hoisted `f64` batch, then quantizes the
+//!   batch in a flat loop, writing symbols and reconstructions in place.
+//!   The quantizer's long arithmetic chain then runs in a loop of its own
+//!   instead of waiting on each stencil.
 //!
 //! Every target whose stencil may lack a reference runs [`linear_fit`] or
 //! [`cubic_fit`], which sum the valid references in the frozen reference's
 //! order: on masked grids every valid target (validity is bounds and mask),
-//! on unmasked ones the boundary points (validity is bounds alone).
+//! on unmasked ones the boundary points (validity is bounds alone). Unmasked
+//! interior targets run the plain stencil, as the reference does.
 //!
 //! Decode validates its untrusted streams in [`reconstruct`] itself: one
-//! pre-pass over the valid points counts the escapes (against the literal
-//! stream) and finds the largest symbol (against the quantizer radius)
-//! before the walk writes anything, so `recover` only ever sees in-radius
-//! bins and callers need no scan of their own. [`reconstruct_leveled`]
-//! checks against the smallest radius over the walk's levels, which is
-//! exact when every level shares one radius, as every encoder here does.
+//! pre-pass over the valid points finds the largest symbol (against the
+//! quantizer radius) and the raster position of every escape (their count
+//! against the literal stream) before the walk writes anything, so
+//! `recover` only ever sees in-radius bins and callers need no scan of
+//! their own. When the walk meets an escape it finds the literal by binary
+//! search over those positions. [`reconstruct_leveled`] checks against the
+//! smallest radius over the walk's levels, which is exact when every level
+//! shares one radius, as every encoder here does.
 
 use crate::fitting::{cubic_coeffs, linear_coeffs, Fitting};
-use cliz_quant::{LinearQuantizer, ESCAPE};
+use cliz_quant::{bin_to_symbol, LinearQuantizer, ESCAPE};
 
 /// Per-call parameters for the interpolation pass.
 #[derive(Clone, Copy, Debug)]
@@ -64,7 +76,6 @@ impl<'a> InterpParams<'a> {
             mask: Some(mask),
         }
     }
-
 }
 
 /// Decode-side stream mismatch, found before the walk writes anything.
@@ -118,7 +129,6 @@ fn strides_of(dims: &[usize]) -> Vec<usize> {
 ///
 /// Returns the escape (literal) count. Escaped points keep their original
 /// value in `buf`; collect literals by scanning `symbols` for [`ESCAPE`].
-// xtask-allow-fn: R5 -- walk() only visits idx < dims product == buf.len(), asserted at entry
 pub fn predict_quantize(
     buf: &mut [f32],
     dims: &[usize],
@@ -126,34 +136,10 @@ pub fn predict_quantize(
     quantizer: &LinearQuantizer,
     symbols: &mut [u32],
 ) -> usize {
-    let expected: usize = dims.iter().product();
-    assert_eq!(buf.len(), expected, "buffer/shape mismatch");
-    assert_eq!(symbols.len(), expected, "symbol grid/shape mismatch");
-    if let Some(m) = params.mask {
-        assert_eq!(m.len(), expected);
-    }
-
-    // The uniform-quantizer path is the pipeline's hot path: specialize it
-    // with the quantizer captured by value so the inner loops see a truly
-    // loop-invariant eb/radius (the leveled variant's stride cache is a
-    // mutable capture, which forces the quantizer fields to be reloaded
-    // every point).
+    // The uniform-quantizer path is the pipeline's hot path: the quantizer
+    // is captured by value, so no level pays a dynamic call.
     let q = *quantizer;
-    let zero_sym = cliz_quant::bin_to_symbol(0);
-    let mut escapes = 0usize;
-    match params.mask {
-        None => walk::<true, _>(dims, params, buf, |buf, idx, _, pred| {
-            quantize_store(&q, buf, symbols, idx, pred, &mut escapes)
-        }),
-        Some(m) => walk::<true, _>(dims, params, buf, |buf, idx, _, pred| {
-            if !m[idx] {
-                symbols[idx] = zero_sym;
-                return buf[idx];
-            }
-            quantize_store(&q, buf, symbols, idx, pred, &mut escapes)
-        }),
-    }
-    escapes
+    encode(buf, dims, params, move |_| q, symbols)
 }
 
 /// [`predict_quantize`] with a per-level quantizer: `quantizer_for(stride)`
@@ -163,15 +149,25 @@ pub fn predict_quantize(
 /// The decoder must be driven with the identical policy
 /// ([`reconstruct_leveled`]).
 ///
-/// `quantizer_for` must be a pure function of `stride`: both passes cache
-/// its result per stride (one dyn call per interpolation level instead of
-/// one per point), so the exact number of invocations is unspecified.
-// xtask-allow-fn: R5 -- walk() only visits idx < dims product == buf.len(), asserted at entry
+/// `quantizer_for` must be a pure function of `stride`: both passes ask it
+/// once per interpolation level and keep the answer for the level's points,
+/// so the exact number of invocations is unspecified.
 pub fn predict_quantize_leveled(
     buf: &mut [f32],
     dims: &[usize],
     params: &InterpParams,
     quantizer_for: &dyn Fn(usize) -> LinearQuantizer,
+    symbols: &mut [u32],
+) -> usize {
+    encode(buf, dims, params, quantizer_for, symbols)
+}
+
+/// The encode walk behind both `predict_quantize` entry points.
+fn encode(
+    buf: &mut [f32],
+    dims: &[usize],
+    params: &InterpParams,
+    levels: impl Fn(usize) -> LinearQuantizer,
     symbols: &mut [u32],
 ) -> usize {
     let expected: usize = dims.iter().product();
@@ -180,59 +176,16 @@ pub fn predict_quantize_leveled(
     if let Some(m) = params.mask {
         assert_eq!(m.len(), expected);
     }
-
-    // Zero-bin placeholder for masked points so the grid is fully populated.
-    let zero_sym = cliz_quant::bin_to_symbol(0);
-    let mut escapes = 0usize;
-    // Stride-cached quantizer (the dyn dispatch leaves the per-point loop)
-    // and a mask-specialized visitor: the unmasked variant's body is just
-    // quantize-and-store. Masked points return their current value — the
-    // commit stores back the bits the buffer already holds.
-    let mut cur = (0usize, quantizer_for(0));
-    match params.mask {
-        None => walk::<true, _>(dims, params, buf, |buf, idx, stride, pred| {
-            if stride != cur.0 {
-                cur = (stride, quantizer_for(stride));
-            }
-            quantize_store(&cur.1, buf, symbols, idx, pred, &mut escapes)
-        }),
-        Some(m) => walk::<true, _>(dims, params, buf, |buf, idx, stride, pred| {
-            if !m[idx] {
-                symbols[idx] = zero_sym;
-                return buf[idx];
-            }
-            if stride != cur.0 {
-                cur = (stride, quantizer_for(stride));
-            }
-            quantize_store(&cur.1, buf, symbols, idx, pred, &mut escapes)
-        }),
-    }
-    escapes
-}
-
-/// The encode visitor's point body: quantize `buf[idx]` against `pred`,
-/// store the symbol, and return the value the walk commits to `buf[idx]` —
-/// the decoder-identical reconstruction, or on escape the exact original
-/// value (committing it back stores the bits the buffer already holds, so
-/// the stored literal is untouched).
-// xtask-allow-fn: R5 -- idx comes from walk(), which only visits idx < dims product == buf.len() (asserted by every caller)
-#[inline]
-fn quantize_store(
-    q: &LinearQuantizer,
-    buf: &[f32],
-    symbols: &mut [u32],
-    idx: usize,
-    pred: f64,
-    escapes: &mut usize,
-) -> f32 {
-    // Branch-free select form: the walk commits after this loop, so there
-    // is no in-loop buffer store for the select's longer data chain to
-    // stall, and the cmov shape wins outright (the escape path hands back
-    // the original value, which the commit stores unchanged).
-    let (symbol, recon, ok) = q.quantize_select(buf[idx], pred);
-    symbols[idx] = symbol;
-    *escapes += usize::from(!ok);
-    recon
+    let mut side = Encode {
+        q: levels(0),
+        levels,
+        symbols,
+        mask: params.mask,
+        batch: Vec::new(),
+        escapes: 0,
+    };
+    walk(dims, params, buf, &mut side);
+    side.escapes
 }
 
 /// Decompression pass: replays `symbols` (raster order) into `buf`.
@@ -254,15 +207,9 @@ pub fn reconstruct(
     literals: &[f32],
     fill_value: f32,
 ) -> Result<(), ReconstructError> {
-    reconstruct_leveled(
-        buf,
-        dims,
-        params,
-        &|_| *quantizer,
-        symbols,
-        literals,
-        fill_value,
-    )
+    // As in `predict_quantize`: the quantizer is captured by value.
+    let q = *quantizer;
+    decode(buf, dims, params, move |_| q, symbols, literals, fill_value)
 }
 
 /// [`reconstruct`] with a per-level quantizer mirroring
@@ -275,12 +222,33 @@ pub fn reconstruct(
 /// same radius at every level (QoZ varies only the bound), so for them the
 /// check is exact; a policy that widened the radius at some level would see
 /// its wider bins rejected there.
-// xtask-allow-fn: R5 -- walk() only visits idx < dims product == buf.len(), asserted at entry; literal stream validated before use
 pub fn reconstruct_leveled(
     buf: &mut [f32],
     dims: &[usize],
     params: &InterpParams,
     quantizer_for: &dyn Fn(usize) -> LinearQuantizer,
+    symbols: &[u32],
+    literals: &[f32],
+    fill_value: f32,
+) -> Result<(), ReconstructError> {
+    decode(
+        buf,
+        dims,
+        params,
+        quantizer_for,
+        symbols,
+        literals,
+        fill_value,
+    )
+}
+
+/// The decode walk behind both `reconstruct` entry points: validation,
+/// the masked fill, then the walk.
+fn decode(
+    buf: &mut [f32],
+    dims: &[usize],
+    params: &InterpParams,
+    levels: impl Fn(usize) -> LinearQuantizer,
     symbols: &[u32],
     literals: &[f32],
     fill_value: f32,
@@ -295,50 +263,24 @@ pub fn reconstruct_leveled(
     // Validate both streams before writing anything: the container may
     // disagree with its own symbol grid, and `recover` takes in-radius bins
     // as an invariant.
-    let (escapes, largest) = escapes_and_largest(symbols, params.mask);
-    if literals.len() != escapes {
+    let mut at = Vec::new();
+    let largest = scan_symbols(symbols, params.mask, &mut at);
+    if literals.len() != at.len() {
         return Err(ReconstructError::LiteralCount {
-            expected_literals: escapes,
+            expected_literals: at.len(),
             got_literals: literals.len(),
         });
     }
-    let radius = level_strides(dims).fold(i32::MAX, |r, s| r.min(quantizer_for(s).radius()));
-    if largest > cliz_quant::bin_to_symbol(radius) {
+    let radius = level_strides(dims).fold(i32::MAX, |r, s| r.min(levels(s).radius()));
+    if largest > bin_to_symbol(radius) {
         return Err(ReconstructError::OutOfRadius {
             symbol: largest,
             radius,
         });
     }
 
-    // Pre-scatter literals to their raster positions.
-    let mut lit_grid: Option<Vec<f32>> = None;
-    if escapes > 0 {
-        let mut it = literals.iter();
-        let mut grid = vec![0.0f32; expected];
-        match params.mask {
-            None => {
-                for (g, &s) in grid.iter_mut().zip(symbols) {
-                    if s == ESCAPE {
-                        if let Some(&v) = it.next() {
-                            *g = v;
-                        }
-                    }
-                }
-            }
-            Some(m) => {
-                for ((g, &s), &keep) in grid.iter_mut().zip(symbols).zip(m) {
-                    if keep && s == ESCAPE {
-                        if let Some(&v) = it.next() {
-                            *g = v;
-                        }
-                    }
-                }
-            }
-        }
-        lit_grid = Some(grid);
-    }
-
-    // Masked points get the fill value; with no mask there is nothing to do.
+    // Masked points get the fill value, which the walk never overwrites;
+    // with no mask there is nothing to do.
     if let Some(m) = params.mask {
         for (v, &keep) in buf.iter_mut().zip(m) {
             if !keep {
@@ -347,62 +289,56 @@ pub fn reconstruct_leveled(
         }
     }
 
-    // Stride-cached quantizer and mask-specialized visitor, mirroring the
-    // encode pass. Masked points return their current value (the fill,
-    // placed above) — the commit stores the same bits back.
-    let mut cur = (0usize, quantizer_for(0));
-    let lit = lit_grid.as_deref();
-    match params.mask {
-        None => walk::<false, _>(dims, params, buf, |_, idx, stride, pred| {
-            if stride != cur.0 {
-                cur = (stride, quantizer_for(stride));
-            }
-            let s = symbols[idx];
-            if s == ESCAPE {
-                // lit is Some whenever any escape exists (validated above).
-                lit.map_or(0.0, |g| g[idx])
-            } else {
-                cur.1.recover(s, pred)
-            }
-        }),
-        Some(m) => walk::<false, _>(dims, params, buf, |buf, idx, stride, pred| {
-            if !m[idx] {
-                return buf[idx];
-            }
-            if stride != cur.0 {
-                cur = (stride, quantizer_for(stride));
-            }
-            let s = symbols[idx];
-            if s == ESCAPE {
-                lit.map_or(0.0, |g| g[idx])
-            } else {
-                cur.1.recover(s, pred)
-            }
-        }),
-    }
+    let mut side = Decode {
+        q: levels(0),
+        levels,
+        symbols,
+        mask: params.mask,
+        escapes: (!at.is_empty()).then_some(Escapes { at, literals }),
+    };
+    walk(dims, params, buf, &mut side);
     Ok(())
 }
 
-/// One pass over the symbols of the valid points: the escape count and the
-/// largest symbol. The mask test is hoisted out of the per-element loops:
-/// each arm is a straight-line fold.
-fn escapes_and_largest(symbols: &[u32], mask: Option<&[bool]>) -> (usize, u32) {
-    let tally = |(escapes, largest): (usize, u32), s: u32| {
-        (escapes + usize::from(s == ESCAPE), largest.max(s))
-    };
+/// The decoder's one pass over the symbols of the valid points: returns the
+/// largest symbol, and pushes the raster position of every escape onto
+/// `escapes` in ascending order. Each block folds its escape count and
+/// maximum branch-free; only a block that holds an escape is read again for
+/// the positions. The mask test is hoisted out of the per-element loops.
+fn scan_symbols(symbols: &[u32], mask: Option<&[bool]>, escapes: &mut Vec<usize>) -> u32 {
+    const BLOCK: usize = 256;
+    let tally = |(n, largest): (usize, u32), s: u32| (n + usize::from(s == ESCAPE), largest.max(s));
+    let mut largest = 0u32;
     match mask {
-        None => symbols.iter().copied().fold((0, 0), tally),
+        None => {
+            for (b, block) in symbols.chunks(BLOCK).enumerate() {
+                let (n, top) = block.iter().copied().fold((0, 0), tally);
+                largest = largest.max(top);
+                if n > 0 {
+                    let hits = block.iter().enumerate().filter(|&(_, &s)| s == ESCAPE);
+                    escapes.extend(hits.map(|(k, _)| b * BLOCK + k));
+                }
+            }
+        }
         // A masked point reads as the zero bin: never an escape, and never
         // above any radius.
         Some(m) => {
-            let zero = cliz_quant::bin_to_symbol(0);
-            let live = symbols
-                .iter()
-                .zip(m)
-                .map(|(&s, &keep)| if keep { s } else { zero });
-            live.fold((0, 0), tally)
+            let zero = bin_to_symbol(0);
+            let live = |(&s, &keep): (&u32, &bool)| if keep { s } else { zero };
+            for (b, (block, keep)) in symbols.chunks(BLOCK).zip(m.chunks(BLOCK)).enumerate() {
+                let (n, top) = block.iter().zip(keep).map(live).fold((0, 0), tally);
+                largest = largest.max(top);
+                if n > 0 {
+                    let hits = block.iter().zip(keep).map(live).enumerate();
+                    escapes.extend(
+                        hits.filter(|&(_, s)| s == ESCAPE)
+                            .map(|(k, _)| b * BLOCK + k),
+                    );
+                }
+            }
         }
     }
+    largest
 }
 
 /// The walk's first level stride: the largest power of two strictly below
@@ -421,139 +357,267 @@ fn top_stride(dims: &[usize]) -> Option<usize> {
     Some(s)
 }
 
-/// Every stride the walk passes to its visitor: 0 for the anchor, then each
-/// level from [`top_stride`] down to 1.
+/// Every stride the walk enters: 0 for the anchor, then each level from
+/// [`top_stride`] down to 1.
 fn level_strides(dims: &[usize]) -> impl Iterator<Item = usize> {
     std::iter::once(0).chain(std::iter::successors(top_stride(dims), |&s| {
         (s > 1).then_some(s / 2)
     }))
 }
 
-/// The traversal skeleton. Calls `visit(buf, idx, stride, pred)` exactly
-/// once per point in a deterministic order, where `pred` is the fit
-/// prediction computed from already-visited (reconstructed) neighbours and
-/// `stride` is the interpolation level (0 for the anchor). The visitor
-/// reads `buf` (and its own captures) and returns the new value for
-/// `buf[idx]`; the walk commits that value, and predictions in later passes
-/// see it. At a masked target (`params.mask` false) the walk skips the fit
-/// and passes `pred = 0.0`: every visitor returns `buf[idx]` there without
-/// reading `pred`.
+/// One direction of the walk: what becomes of a run's targets once their
+/// predictions are known.
+trait Side {
+    /// Enters the level of stride `s` (0 for the anchor); every run until
+    /// the next call belongs to it.
+    fn level(&mut self, s: usize);
+
+    /// Consumes one run. `tgt[0]` is the target at raster index `start` and
+    /// the run's other targets follow every `step` elements to the end of
+    /// `tgt` (whose length is one past the last target); the elements in
+    /// between are not the side's to touch. `preds` yields one prediction
+    /// per target, in order, and 0.0 at a masked target, whose value the
+    /// side leaves alone.
+    fn run(&mut self, tgt: &mut [f32], start: usize, step: usize, preds: impl Iterator<Item = f64>);
+}
+
+/// The encode side: quantizes each target against its prediction, storing
+/// its symbol and overwriting it with the decoder-identical reconstruction
+/// (an escape keeps its exact value).
+struct Encode<'a, L> {
+    levels: L,
+    /// The current level's quantizer.
+    q: LinearQuantizer,
+    symbols: &'a mut [u32],
+    mask: Option<&'a [bool]>,
+    /// One run's predictions, hoisted so every run reuses one allocation.
+    /// Sized indexed storage, not `push`: the capacity branch and length
+    /// update inside `push` cost ~3 ns/pt in the interior loops (measured).
+    batch: Vec<f64>,
+    escapes: usize,
+}
+
+impl<L: Fn(usize) -> LinearQuantizer> Side for Encode<'_, L> {
+    fn level(&mut self, s: usize) {
+        self.q = (self.levels)(s);
+    }
+
+    fn run(
+        &mut self,
+        tgt: &mut [f32],
+        start: usize,
+        step: usize,
+        preds: impl Iterator<Item = f64>,
+    ) {
+        let q = self.q;
+        let n = tgt.len().div_ceil(step);
+        if self.batch.len() < n {
+            self.batch.resize(n, 0.0);
+        }
+        // Predict phase: the whole run into the batch.
+        let batch = &mut self.batch[..n];
+        for (slot, pred) in batch.iter_mut().zip(preds) {
+            *slot = pred;
+        }
+        // Quantize phase: one flat loop over the batch, in place. The
+        // branch-free select form stores unconditionally; on escape it
+        // hands back the original value.
+        let span = start..start + tgt.len();
+        let cells = tgt
+            .chunks_mut(step)
+            .zip(self.symbols[span.clone()].chunks_mut(step))
+            .zip(batch.iter());
+        match self.mask {
+            None => {
+                let mut escapes = 0usize;
+                for ((t, sym), &pred) in cells {
+                    let (symbol, recon, ok) = q.quantize_select(t[0], pred);
+                    sym[0] = symbol;
+                    t[0] = recon;
+                    escapes += usize::from(!ok);
+                }
+                self.escapes += escapes;
+            }
+            Some(m) => {
+                // A masked point keeps its fill and gets the zero-bin
+                // placeholder the encoder drops.
+                let zero = bin_to_symbol(0);
+                let mut escapes = 0usize;
+                for (((t, sym), &pred), keep) in cells.zip(m[span].chunks(step)) {
+                    if keep[0] {
+                        let (symbol, recon, ok) = q.quantize_select(t[0], pred);
+                        sym[0] = symbol;
+                        t[0] = recon;
+                        escapes += usize::from(!ok);
+                    } else {
+                        sym[0] = zero;
+                    }
+                }
+                self.escapes += escapes;
+            }
+        }
+    }
+}
+
+/// The decode side: replays each target's symbol against its prediction.
+struct Decode<'a, L> {
+    levels: L,
+    /// The current level's quantizer.
+    q: LinearQuantizer,
+    symbols: &'a [u32],
+    mask: Option<&'a [bool]>,
+    /// `None` when the section has no escape.
+    escapes: Option<Escapes<'a>>,
+}
+
+/// A section's escapes: their raster positions, ascending, and their
+/// literals in the same order (the container stores literals in raster
+/// order).
+struct Escapes<'a> {
+    at: Vec<usize>,
+    literals: &'a [f32],
+}
+
+impl Escapes<'_> {
+    /// The literal of the escape at raster index `idx`. The walk asks only
+    /// at escapes, and the validation pass matched the two lengths, so the
+    /// fallback is never taken.
+    fn literal(&self, idx: usize) -> f32 {
+        let k = self.at.binary_search(&idx).ok();
+        k.and_then(|k| self.literals.get(k)).copied().unwrap_or(0.0)
+    }
+}
+
+impl<L: Fn(usize) -> LinearQuantizer> Side for Decode<'_, L> {
+    fn level(&mut self, s: usize) {
+        self.q = (self.levels)(s);
+    }
+
+    fn run(
+        &mut self,
+        tgt: &mut [f32],
+        start: usize,
+        step: usize,
+        preds: impl Iterator<Item = f64>,
+    ) {
+        let q = self.q;
+        let span = start..start + tgt.len();
+        let cells = tgt
+            .chunks_mut(step)
+            .zip(self.symbols[span.clone()].chunks(step));
+        // Four bodies, the mask and escape tests hoisted out of each. The
+        // validation pass saw every valid symbol, so outside an escape
+        // body no valid symbol is an escape.
+        match (self.mask, &self.escapes) {
+            (None, None) => {
+                for ((t, sym), pred) in cells.zip(preds) {
+                    t[0] = q.recover(sym[0], pred);
+                }
+            }
+            (None, Some(esc)) => {
+                for (k, ((t, sym), pred)) in cells.zip(preds).enumerate() {
+                    t[0] = if sym[0] == ESCAPE {
+                        esc.literal(start + k * step)
+                    } else {
+                        q.recover(sym[0], pred)
+                    };
+                }
+            }
+            (Some(m), None) => {
+                for (((t, sym), keep), pred) in cells.zip(m[span].chunks(step)).zip(preds) {
+                    if keep[0] {
+                        t[0] = q.recover(sym[0], pred);
+                    }
+                }
+            }
+            (Some(m), Some(esc)) => {
+                let cells = cells.zip(m[span].chunks(step)).zip(preds);
+                for (k, (((t, sym), keep), pred)) in cells.enumerate() {
+                    if keep[0] {
+                        t[0] = if sym[0] == ESCAPE {
+                            esc.literal(start + k * step)
+                        } else {
+                            q.recover(sym[0], pred)
+                        };
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The traversal skeleton: hands `side` every point exactly once, in runs
+/// (see [`Side::run`]), each with its fit predictions computed from
+/// already-visited (reconstructed) neighbours.
 ///
 /// Order: the all-zero anchor first (predicted as 0.0), then levels with
 /// strides `s = 2^L … 1`; within a level, dimensions in ascending index
 /// order (the caller controls effective order by physically permuting data).
-/// Within one (level, dimension) pass the visit order is a deterministic
-/// cache-aware choice — and is immaterial to the results, because a pass
-/// never reads what it writes: targets sit at odd multiples of `s` along
-/// the active dimension while every fit reference sits at an even multiple,
-/// so all of a pass's predictions depend only on pre-pass state.
+/// A (level, dimension) pass predicts the points at odd multiples of `s`
+/// along its dimension `d`, on the lattice of multiples of `s` along the
+/// dimensions before `d` (already refined this level) and of `2s` along
+/// those after it. Within a pass the order is a cache-aware choice, and
+/// immaterial to the results, because a pass never reads what it writes:
+/// every fit reference sits at an even multiple of `s` along `d`.
 ///
-/// That same independence is why the visitor returns the new value instead
-/// of writing it: each pass computes its predictions from an immutably
-/// borrowed `buf` and commits the batch afterwards. With the borrow split
-/// this way the compiler knows the stencil loads cannot alias the stores,
-/// and the CPU never has to disambiguate a neighbour load against the
-/// previous point's in-flight store — which costs over half the pass time
-/// when the stores land interleaved between the loads' addresses (measured
-/// ~22 vs ~8 ns/pt on the finest cubic pass).
+/// Each pass is cut into runs along the trailing dimension:
 ///
-/// `BATCH` picks how the visitor meets the predictions (see the module docs
-/// for the measurements):
+/// * A strided pass (`d` before the trailing dimension) takes the target
+///   planes along `d` in ascending order and, within each, one run per row
+///   of the trailing dimension: targets `2s` apart. Rows advance along the
+///   contiguous trailing dims, so every stream steps through memory in
+///   order ([`strided_run`]).
+/// * A trailing pass takes one run per line: the odd multiples of `s` on
+///   it ([`trailing_line`]).
 ///
-/// * `true` (encode) — three phases per pass: predict every target into a
-///   hoisted `f64` scratch, run the visitor over the batch in a flat loop,
-///   then commit. The quantizer's long arithmetic chain then runs in a loop
-///   of its own instead of waiting on each stencil.
-/// * `false` (decode) — two phases: the visitor runs as each prediction is
-///   made, then the commit. Decode's visitor is one multiply-add, too short
-///   to repay a second pass over the batch.
-///
-/// The per-pass work is delegated to [`sweep_line`] (contiguous trailing
-/// dimension) or [`sweep_plane`] (strided dimensions, loop-interchanged so
-/// accesses stream along the trailing dims), both of which hoist the mask
-/// and fitting dispatch and the interior-stencil bounds checks out of the
-/// per-point loop. Compression and decompression still share this one
-/// function, so the hoisted kernels cannot introduce an encode/decode
-/// traversal divergence.
-// xtask-allow-fn: R5 -- callers assert dims product == buf.len(); every index the walk forms stays inside that product
-fn walk<const BATCH: bool, F>(dims: &[usize], params: &InterpParams, buf: &mut [f32], mut visit: F)
-where
-    F: FnMut(&[f32], usize, usize, f64) -> f32,
-{
-    let ndim = dims.len();
-    let strides = strides_of(dims);
-
+/// The rows and lines come from an odometer over the remaining dimensions
+/// ([`for_each_row`]); no list of them is built.
+// xtask-allow-fn: R5 -- callers assert dims product == buf.len() (>= 1 for any shape the pipeline accepts), so the anchor exists
+fn walk<S: Side>(dims: &[usize], params: &InterpParams, buf: &mut [f32], side: &mut S) {
     // Anchor point: nothing is known yet, predict zero.
-    buf[0] = visit(buf, 0, 0, 0.0);
+    side.level(0);
+    side.run(&mut buf[..1], 0, 1, std::iter::once(0.0));
     let Some(mut s) = top_stride(dims) else {
         return;
     };
 
-    let fitting = params.fitting;
-    let mask = params.mask;
-    // Odometer scratch, the per-pass line-origin list, and the batch
-    // buffers, all shared across every level/dimension pass.
-    let mut coords = vec![0usize; ndim];
-    let mut bases: Vec<usize> = Vec::new();
-    let mut scratch = Scratch::default();
-
-    while s >= 1 {
-        for d in 0..ndim {
+    let strides = strides_of(dims);
+    let last = dims.len() - 1;
+    let trailing_len = dims[last];
+    // Odometer scratch and the trailing passes' reference buffers, shared
+    // across every pass.
+    let mut coords = vec![0usize; dims.len()];
+    let mut line = Line::default();
+    loop {
+        side.level(s);
+        for d in 0..dims.len() {
             if dims[d] <= s {
                 continue; // no odd multiples of s inside this dimension
             }
-            // Odometer over all dims except `d`: step s for dims < d (already
-            // refined this level), 2s for dims > d (still coarse). Collect
-            // every line origin (coord d = 0) up front — the trailing
-            // dimension advances fastest, so consecutive bases are 2s
-            // elements apart in memory.
-            coords.fill(0);
+            // The run length along the trailing dimension: one past the
+            // last of its `count` targets, `2s` apart.
+            let count = trailing_len.div_ceil(2 * s);
             let pass = Pass {
-                fitting,
-                mask,
+                fitting: params.fitting,
+                mask: params.mask,
                 dim_len: dims[d],
                 dim_stride: strides[d],
                 s,
+                span: (count - 1) * 2 * s + 1,
             };
-            bases.clear();
-            'outer: loop {
-                let mut base = 0usize;
-                for e in 0..ndim {
-                    if e != d {
-                        base += coords[e] * strides[e];
-                    }
-                }
-                bases.push(base);
-                // Advance the odometer.
-                let mut e = ndim;
-                loop {
-                    if e == 0 {
-                        break 'outer;
-                    }
-                    e -= 1;
-                    if e == d {
-                        continue;
-                    }
-                    let step = if e < d { s } else { 2 * s };
-                    coords[e] += step;
-                    if coords[e] < dims[e] {
-                        break;
-                    }
-                    coords[e] = 0;
-                }
-            }
-            if d + 1 == ndim {
-                // Trailing dimension: each line is contiguous — sweep them
-                // one at a time.
-                for &base in &bases {
-                    sweep_line::<BATCH, F>(buf, &pass, base, &mut scratch, &mut visit);
-                }
+            if d == last {
+                for_each_row(dims, &strides, &mut coords, d, s, |base| {
+                    trailing_line(buf, &pass, base, &mut line, side);
+                });
             } else {
-                // Strided dimension: sweeping a line would jump `2s·stride`
-                // elements per point. Interchange instead — fix the target
-                // coordinate and advance across lines, so every access
-                // stream steps along the contiguous trailing dims.
-                sweep_plane::<BATCH, F>(buf, &pass, &bases, &mut scratch, &mut visit);
+                let mut i = s;
+                while i < pass.dim_len {
+                    let plane = i * pass.dim_stride;
+                    for_each_row(dims, &strides, &mut coords, d, s, |base| {
+                        strided_run(buf, &pass, i, base + plane, side);
+                    });
+                    i += 2 * s;
+                }
             }
         }
         if s == 1 {
@@ -563,381 +627,372 @@ where
     }
 }
 
+/// Calls `f` with the raster index of the first element of every row of a
+/// pass along dimension `d` at level `s`: every combination of the
+/// coordinates other than `d`'s and the trailing dimension's, on the
+/// level's lattice (multiples of `s` before `d`, of `2s` after it), the
+/// trailing-most coordinate advancing fastest.
+fn for_each_row(
+    dims: &[usize],
+    strides: &[usize],
+    coords: &mut [usize],
+    d: usize,
+    s: usize,
+    mut f: impl FnMut(usize),
+) {
+    let last = dims.len() - 1;
+    coords.fill(0);
+    let mut base = 0usize;
+    loop {
+        f(base);
+        let mut e = last;
+        loop {
+            if e == 0 {
+                return;
+            }
+            e -= 1;
+            if e == d {
+                continue;
+            }
+            let step = if e < d { s } else { 2 * s };
+            coords[e] += step;
+            base += step * strides[e];
+            if coords[e] < dims[e] {
+                break;
+            }
+            base -= coords[e] * strides[e];
+            coords[e] = 0;
+        }
+    }
+}
+
 /// One (level, dimension) pass's geometry: targets sit at odd multiples of
 /// `s` along a dimension of length `dim_len` and element stride
-/// `dim_stride`.
+/// `dim_stride`. `span` is a strided pass's run length along the trailing
+/// dimension.
 struct Pass<'a> {
     fitting: Fitting,
     mask: Option<&'a [bool]>,
     dim_len: usize,
     dim_stride: usize,
     s: usize,
+    span: usize,
 }
 
-/// The walk's batch buffers, hoisted so every pass reuses one allocation:
-/// the encode walk's predictions and the values a pass commits. Sized
-/// indexed storage, not `push`: the capacity branch and length update
-/// inside `push` cost ~3 ns/pt in the interior loops (measured), while
-/// indexed stores into a pre-sized buffer optimize cleanly.
-#[derive(Default)]
-struct Scratch {
-    preds: Vec<f64>,
-    vals: Vec<f32>,
-}
-
-impl Scratch {
-    /// The first `targets` slots of each buffer a `BATCH` pass uses, grown
-    /// as needed; a two-phase pass gets no prediction slots.
-    fn slots<const BATCH: bool>(&mut self, targets: usize) -> (&mut [f64], &mut [f32]) {
-        if self.vals.len() < targets {
-            self.vals.resize(targets, 0.0);
+/// One run of a strided pass: the targets on target plane `i` (an odd
+/// multiple of `s` along the pass's dimension) that start at raster index
+/// `start` and lie `2s` apart along the trailing dimension.
+///
+/// The `±s` and `±3s` reference runs are the same run on the planes `i ± s`
+/// and `i ± 3s`, `s · dim_stride` elements per plane away. Since
+/// `dim_stride` is at least the trailing length, which is at least `span`,
+/// they sit wholly below or above the target run: one `split_at_mut` on
+/// each side of it makes the run mutable and the references shared. A
+/// reference plane outside the grid is stood in for by the `−s` run, with
+/// its bound flag false. The interior/boundary split is per plane: an
+/// unmasked plane with every reference in bounds runs the plain stencil,
+/// an unmasked boundary plane the fit with the plane's coefficients, and a
+/// masked grid the fit with validity read from the mask.
+fn strided_run<S: Side>(buf: &mut [f32], pass: &Pass, i: usize, start: usize, side: &mut S) {
+    let &Pass {
+        fitting,
+        mask,
+        dim_len,
+        dim_stride,
+        s,
+        span,
+    } = pass;
+    let step = 2 * s;
+    let plane = s * dim_stride;
+    let (lo3, hi1, hi3) = cubic_bounds(i, s, dim_len);
+    let (below, rest) = buf.split_at_mut(start);
+    let (tgt, above) = rest.split_at_mut(span);
+    // `above[x]` is element `start + span + x`.
+    let m1 = &below[start - plane..][..span];
+    let r = [
+        if lo3 {
+            &below[start - 3 * plane..][..span]
+        } else {
+            m1
+        },
+        m1,
+        if hi1 {
+            &above[plane - span..][..span]
+        } else {
+            m1
+        },
+        if hi3 {
+            &above[3 * plane - span..][..span]
+        } else {
+            m1
+        },
+    ];
+    match (mask, fitting) {
+        (None, Fitting::Linear) if hi1 => {
+            let preds = column2([r[1], r[2]], step).map(linear_interior);
+            side.run(tgt, start, step, preds);
         }
-        let preds = if BATCH { targets } else { 0 };
-        if self.preds.len() < preds {
-            self.preds.resize(preds, 0.0);
+        (None, Fitting::Cubic) if lo3 && hi3 => {
+            side.run(tgt, start, step, column4(r, step).map(cubic_interior));
         }
-        (&mut self.preds[..preds], &mut self.vals[..targets])
+        (None, Fitting::Linear) => {
+            let v = [true, hi1];
+            let c = linear_coeffs(v);
+            let preds = column2([r[1], r[2]], step).map(|d| weighted(d, v, c));
+            side.run(tgt, start, step, preds);
+        }
+        (None, Fitting::Cubic) => {
+            let v = [lo3, true, hi1, hi3];
+            let c = cubic_coeffs(v);
+            side.run(
+                tgt,
+                start,
+                step,
+                column4(r, step).map(|d| weighted(d, v, c)),
+            );
+        }
+        (Some(m), fitting) => {
+            // Index the reference runs and read each reference's validity
+            // from its own run of the mask: zipping all nine streams costs
+            // more than the indexing saves.
+            let keep = &m[start..][..span];
+            let v1 = &m[start - plane..][..span];
+            let valid = [
+                if lo3 {
+                    &m[start - 3 * plane..][..span]
+                } else {
+                    v1
+                },
+                v1,
+                if hi1 { &m[start + plane..][..span] } else { v1 },
+                if hi3 {
+                    &m[start + 3 * plane..][..span]
+                } else {
+                    v1
+                },
+            ];
+            let bounds = [lo3, true, hi1, hi3];
+            let preds = (0..span.div_ceil(step)).map(|k| {
+                let j = k * step;
+                if !keep[j] {
+                    return 0.0;
+                }
+                let d = r.map(|run| run[j]);
+                let v = [0, 1, 2, 3].map(|n| bounds[n] & valid[n][j]);
+                match fitting {
+                    Fitting::Linear => linear_fit([d[1], d[2]], [v[1], v[2]]),
+                    Fitting::Cubic => cubic_fit(d, v),
+                }
+            });
+            side.run(tgt, start, step, preds);
+        }
     }
 }
 
-/// One line pass at level `s`: predicts the points at odd multiples of `s`
-/// (coordinates `s, 3s, 5s, …` along the active dimension) on the line whose
-/// coordinate-0 element sits at linear index `base`, visiting each in order.
-/// The visitor only rewrites `buf[idx]`, which is never one of the pass's fit
-/// references (fit neighbours sit at even multiples of `s`, untouched by
-/// this pass).
+/// The hoisted buffers of the trailing passes: one line's references (its
+/// even multiples of `s`) with one invalid slot before them and two after,
+/// and their validity. Target `k` of the line then reads its `−3s, −s, +s,
+/// +3s` references, bounds included, as the window `k..k + 4`.
+#[derive(Default)]
+struct Line {
+    refs: Vec<f32>,
+    valid: Vec<bool>,
+}
+
+/// One line of a trailing pass: the points at odd multiples of `s` on the
+/// line whose coordinate-0 element sits at raster index `base`.
 ///
-/// This is the branch-hoisted core of the traversal: the mask presence and
-/// fitting family are dispatched once per line instead of once per point.
-/// On unmasked lines the interior points — every point whose fit stencil
-/// is fully inside the line, which is all but the outermost one to three —
-/// run a tight loop whose body is just the fit expression, and the boundary
-/// points run [`linear_fit`]/[`cubic_fit`] with the bounds as validity.
-/// Masked lines run the same fits with bounds and mask as validity. Each
-/// prediction is bit-identical to the frozen single-loop reference: every
-/// body evaluates the reference's expression in the same operation order.
-///
-/// Each line runs in three phases when `BATCH` and two otherwise (see
-/// [`walk`]); either way the predictions read the immutably borrowed buffer
-/// before the batch is committed, so the stencil loads provably cannot
-/// alias the stores.
-// xtask-allow-fn: R5 -- interior loop bounds keep every neighbour offset inside the line (i ≥ s resp. i ≥ 3s, i + s resp. i + 3s < dim_len); boundary and masked points use the bounds-flagged fits
-#[inline]
-fn sweep_line<const BATCH: bool, F>(
+/// The line's references are copied into `line` first, so the targets are
+/// written in place while the stencil reads the copy. On unmasked lines the
+/// interior targets — every target whose references are all in bounds,
+/// which is all but the outermost one to three — run the plain stencil over
+/// the copy's windows, and the boundary targets run [`linear_fit`] /
+/// [`cubic_fit`] with the padding as validity. Masked lines run the fits
+/// everywhere with the mask as validity. Each segment is one run.
+// xtask-allow-fn: R5 -- the line base..base + dim_len lies inside the grid (base is a row start, dim_len the trailing length); segment bounds come from the target count
+fn trailing_line<S: Side>(
     buf: &mut [f32],
     pass: &Pass,
     base: usize,
-    scratch: &mut Scratch,
-    visit: &mut F,
-) where
-    F: FnMut(&[f32], usize, usize, f64) -> f32,
-{
+    line: &mut Line,
+    side: &mut S,
+) {
     let &Pass {
         fitting,
         mask,
         dim_len,
-        dim_stride,
         s,
+        ..
     } = pass;
-    let step = s * dim_stride;
-    // The target count is the number of odd multiples of `s` below `dim_len`.
-    let targets = (dim_len - s).div_ceil(2 * s);
-    let (preds, vals) = scratch.slots::<BATCH>(targets);
-    {
-        let buf: &[f32] = buf;
-        // Predict phase: the batch stores each prediction for the visitor
-        // loop below; otherwise the visitor runs on it right away.
-        let mut emit = |k: usize, idx: usize, pred: f64| {
-            if BATCH {
-                preds[k] = pred;
-            } else {
-                vals[k] = visit(buf, idx, s, pred);
-            }
-        };
-        let mut k = 0usize;
-        match (mask, fitting) {
-            (None, Fitting::Linear) => {
-                // i starts at s, so the −s neighbour always exists; only the
-                // last point can lack the +s one.
-                let mut i = s;
-                while i + s < dim_len {
-                    let idx = base + i * dim_stride;
-                    let pred = 0.5 * (buf[idx - step] as f64 + buf[idx + step] as f64);
-                    emit(k, idx, pred);
-                    k += 1;
-                    i += 2 * s;
-                }
-                if i < dim_len {
-                    // The last point: its +s neighbour is past the end.
-                    let idx = base + i * dim_stride;
-                    let pred = linear_fit(buf, |_| true, idx, step, false);
-                    emit(k, idx, pred);
-                    k += 1;
-                }
-            }
-            (None, Fitting::Cubic) => {
-                // The first point (i = s < 3s) lacks the −3s neighbour; after
-                // it i is always ≥ 3s, so the interior loop only has to watch
-                // the +3s end of the stencil.
-                let mut i = s;
-                if i < dim_len {
-                    let idx = base + i * dim_stride;
-                    let pred = cubic_fit(buf, |_| true, idx, step, cubic_bounds(i, s, dim_len));
-                    emit(k, idx, pred);
-                    k += 1;
-                    i += 2 * s;
-                }
-                while i + 3 * s < dim_len {
-                    let idx = base + i * dim_stride;
-                    let d0 = buf[idx - 3 * step] as f64;
-                    let d1 = buf[idx - step] as f64;
-                    let d2 = buf[idx + step] as f64;
-                    let d3 = buf[idx + 3 * step] as f64;
-                    let pred = (9.0 / 16.0) * (d1 + d2) - (1.0 / 16.0) * (d0 + d3);
-                    emit(k, idx, pred);
-                    k += 1;
-                    i += 2 * s;
-                }
-                while i < dim_len {
-                    let idx = base + i * dim_stride;
-                    let pred = cubic_fit(buf, |_| true, idx, step, cubic_bounds(i, s, dim_len));
-                    emit(k, idx, pred);
-                    k += 1;
-                    i += 2 * s;
-                }
-            }
-            (Some(m), Fitting::Linear) => {
-                let mut i = s;
-                while i < dim_len {
-                    let idx = base + i * dim_stride;
-                    let pred = if m[idx] {
-                        linear_fit(buf, |j| m[j], idx, step, i + s < dim_len)
-                    } else {
-                        0.0
-                    };
-                    emit(k, idx, pred);
-                    k += 1;
-                    i += 2 * s;
-                }
-            }
-            (Some(m), Fitting::Cubic) => {
-                let mut i = s;
-                while i < dim_len {
-                    let idx = base + i * dim_stride;
-                    let pred = if m[idx] {
-                        cubic_fit(buf, |j| m[j], idx, step, cubic_bounds(i, s, dim_len))
-                    } else {
-                        0.0
-                    };
-                    emit(k, idx, pred);
-                    k += 1;
-                    i += 2 * s;
-                }
-            }
-        }
-        debug_assert_eq!(k, targets);
+    let step = 2 * s;
+    let row = &mut buf[base..base + dim_len];
+    let Line { refs, valid } = line;
+    refs.clear();
+    refs.push(0.0);
+    refs.extend(row.iter().step_by(step));
+    let nref = refs.len() - 1;
+    refs.extend([0.0, 0.0]);
+    valid.clear();
+    valid.push(false);
+    match mask {
+        None => valid.resize(nref + 1, true),
+        Some(m) => valid.extend(m[base..base + dim_len].iter().step_by(step)),
     }
-    let first = base + s * dim_stride;
-    if BATCH {
-        // Visitor phase: one flat loop over the batch.
-        let mut idx = first;
-        for (v, &pred) in vals.iter_mut().zip(preds.iter()) {
-            *v = visit(buf, idx, s, pred);
-            idx += 2 * step;
+    valid.extend([false, false]);
+
+    let start = base + s;
+    let tgt = &mut row[s..];
+    let count = tgt.len().div_ceil(step);
+    let fits = |a: usize| refs[a..].windows(4).zip(valid[a..].windows(4));
+    match (mask, fitting) {
+        (None, Fitting::Linear) => {
+            // Targets 0..nref - 1 have both references; the last target
+            // lacks its +s one when the line ends on it.
+            let interior = nref - 1;
+            let pairs = refs[1..=nref]
+                .windows(2)
+                .map(|w| linear_interior([w[0], w[1]]));
+            segment(side, tgt, start, step, 0..interior, pairs);
+            segment(
+                side,
+                tgt,
+                start,
+                step,
+                interior..count,
+                fits(interior).map(window_linear),
+            );
         }
-    }
-    // Commit phase: replay the same target sequence, storing the batch.
-    let mut idx = first;
-    for &v in vals.iter() {
-        buf[idx] = v;
-        idx += 2 * step;
+        (None, Fitting::Cubic) => {
+            // Target 0 lacks its −3s reference; targets 1..=nref - 3 have
+            // all four; the rest lack a + reference.
+            let interior = nref.saturating_sub(3);
+            segment(side, tgt, start, step, 0..1, fits(0).map(window_cubic));
+            let quads = refs[1..interior + 4].windows(4);
+            let quads = quads.map(|w| cubic_interior([w[0], w[1], w[2], w[3]]));
+            segment(side, tgt, start, step, 1..1 + interior, quads);
+            segment(
+                side,
+                tgt,
+                start,
+                step,
+                1 + interior..count,
+                fits(1 + interior).map(window_cubic),
+            );
+        }
+        (Some(m), fitting) => {
+            let keep = m[start..][..tgt.len()].chunks(step);
+            let preds = fits(0).zip(keep).map(|(window, k)| match (k[0], fitting) {
+                (false, _) => 0.0,
+                (true, Fitting::Linear) => window_linear(window),
+                (true, Fitting::Cubic) => window_cubic(window),
+            });
+            side.run(tgt, start, step, preds);
+        }
     }
 }
 
-/// [`sweep_line`]'s loop-interchanged sibling for strided dimensions: for
-/// each target coordinate `i` (odd multiples of `s` along the active
-/// dimension, in ascending order) it visits the point on every line in
-/// `bases` order. Consecutive bases are adjacent along the contiguous
-/// trailing dimensions, so each of the stencil's load streams and both
-/// store streams advance sequentially through memory instead of jumping
-/// `2s · dim_stride` elements per point.
-///
-/// Valid for the same reason any intra-pass order is (see [`walk`]): the
-/// pass's fit references all sit at even multiples of `s`, untouched by the
-/// pass's own writes. The interior/boundary split is per-`i` — one
-/// classification per plane: unmasked boundary planes and masked grids run
-/// [`linear_fit`]/[`cubic_fit`] with the plane's bounds flags.
-///
-/// Each `i`-plane runs in three phases when `BATCH` and two otherwise (see
-/// [`walk`]), ending in one sequential commit sweep across the bases.
-// xtask-allow-fn: R5 -- interior planes satisfy i ≥ s resp. 3s and i + s resp. 3s < dim_len, keeping every stencil offset in the grid; boundary planes and masked grids use the bounds-flagged fits
-fn sweep_plane<const BATCH: bool, F>(
-    buf: &mut [f32],
-    pass: &Pass,
-    bases: &[usize],
-    scratch: &mut Scratch,
-    visit: &mut F,
-) where
-    F: FnMut(&[f32], usize, usize, f64) -> f32,
-{
-    let &Pass {
-        fitting,
-        mask,
-        dim_len,
-        dim_stride,
-        s,
-    } = pass;
-    let step = s * dim_stride;
-    let (preds, vals) = scratch.slots::<BATCH>(bases.len());
-    let mut i = s;
-    while i < dim_len {
-        let off = i * dim_stride;
-        {
-            let buf: &[f32] = buf;
-            let mut emit = |k: usize, idx: usize, pred: f64| {
-                if BATCH {
-                    preds[k] = pred;
-                } else {
-                    vals[k] = visit(buf, idx, s, pred);
-                }
-            };
-            let points = bases.iter().enumerate().map(|(k, &base)| (k, base + off));
-            match (mask, fitting) {
-                // i ≥ s always holds (i starts at s).
-                (None, Fitting::Linear) if i + s < dim_len => {
-                    for (k, idx) in points {
-                        let pred = 0.5 * (buf[idx - step] as f64 + buf[idx + step] as f64);
-                        emit(k, idx, pred);
-                    }
-                }
-                (None, Fitting::Cubic) if i >= 3 * s && i + 3 * s < dim_len => {
-                    for (k, idx) in points {
-                        let d0 = buf[idx - 3 * step] as f64;
-                        let d1 = buf[idx - step] as f64;
-                        let d2 = buf[idx + step] as f64;
-                        let d3 = buf[idx + 3 * step] as f64;
-                        let pred = (9.0 / 16.0) * (d1 + d2) - (1.0 / 16.0) * (d0 + d3);
-                        emit(k, idx, pred);
-                    }
-                }
-                // Boundary planes: every reference is valid that is in
-                // bounds, and a linear plane lacks its +s one.
-                (None, Fitting::Linear) => {
-                    for (k, idx) in points {
-                        let pred = linear_fit(buf, |_| true, idx, step, false);
-                        emit(k, idx, pred);
-                    }
-                }
-                (None, Fitting::Cubic) => {
-                    let inb = cubic_bounds(i, s, dim_len);
-                    for (k, idx) in points {
-                        let pred = cubic_fit(buf, |_| true, idx, step, inb);
-                        emit(k, idx, pred);
-                    }
-                }
-                (Some(m), Fitting::Linear) => {
-                    let hi = i + s < dim_len;
-                    for (k, idx) in points {
-                        let pred = if m[idx] {
-                            linear_fit(buf, |j| m[j], idx, step, hi)
-                        } else {
-                            0.0
-                        };
-                        emit(k, idx, pred);
-                    }
-                }
-                (Some(m), Fitting::Cubic) => {
-                    let inb = cubic_bounds(i, s, dim_len);
-                    for (k, idx) in points {
-                        let pred = if m[idx] {
-                            cubic_fit(buf, |j| m[j], idx, step, inb)
-                        } else {
-                            0.0
-                        };
-                        emit(k, idx, pred);
-                    }
-                }
-            }
-        }
-        if BATCH {
-            // Visitor phase: one flat loop over the plane's batch.
-            for ((v, &pred), &base) in vals.iter_mut().zip(preds.iter()).zip(bases) {
-                *v = visit(buf, base + off, s, pred);
-            }
-        }
-        // Commit phase: one sequential store sweep across the plane.
-        for (&base, &v) in bases.iter().zip(vals.iter()) {
-            buf[base + off] = v;
-        }
-        i += 2 * s;
+/// [`linear_fit`] for a trailing target over its padded window of
+/// references and their validity (see [`Line`]).
+#[inline(always)]
+fn window_linear((d, v): (&[f32], &[bool])) -> f64 {
+    match (d, v) {
+        ([_, d1, d2, _], [_, v1, v2, _]) => linear_fit([*d1, *d2], [*v1, *v2]),
+        _ => 0.0,
     }
 }
 
-/// Linear fit for a valid target at linear index `idx`, over the
-/// references at `−s` and `+s` (`step` = `s` in elements). The `−s`
-/// neighbour is always in bounds (targets start at `s`), the `+s` one when
-/// `hi`. A reference counts when it is in bounds and `valid` says so: the
-/// mask on masked grids, always on unmasked ones. The prediction sums
-/// `0.0 + c·d` over the counted references only, in ascending offset order,
-/// with [`linear_coeffs`] — the frozen reference's exact operation order,
-/// so every bit is the same.
+/// [`cubic_fit`] for a trailing target over its padded window of
+/// references and their validity (see [`Line`]).
+#[inline(always)]
+fn window_cubic((d, v): (&[f32], &[bool])) -> f64 {
+    match (d, v) {
+        (&[d0, d1, d2, d3], &[v0, v1, v2, v3]) => cubic_fit([d0, d1, d2, d3], [v0, v1, v2, v3]),
+        _ => 0.0,
+    }
+}
+
+/// Hands `side` targets `targets` of a trailing line's run `tgt` (`step`
+/// apart from raster index `start`) as one run, if there are any.
+fn segment<S: Side>(
+    side: &mut S,
+    tgt: &mut [f32],
+    start: usize,
+    step: usize,
+    targets: std::ops::Range<usize>,
+    preds: impl Iterator<Item = f64>,
+) {
+    if targets.start < targets.end {
+        let first = targets.start * step;
+        let run = &mut tgt[first..=(targets.end - 1) * step];
+        side.run(run, start + first, step, preds);
+    }
+}
+
+/// Every `step`-th element of two runs laid out alike, paired.
+fn column2(r: [&[f32]; 2], step: usize) -> impl Iterator<Item = [f32; 2]> + '_ {
+    let [a, b] = r;
+    a.chunks(step)
+        .zip(b.chunks(step))
+        .map(|(a, b)| [a[0], b[0]])
+}
+
+/// Every `step`-th element of four runs laid out alike, as quadruples.
+fn column4(r: [&[f32]; 4], step: usize) -> impl Iterator<Item = [f32; 4]> + '_ {
+    let [a, b, c, d] = r;
+    let rows = a
+        .chunks(step)
+        .zip(b.chunks(step))
+        .zip(c.chunks(step))
+        .zip(d.chunks(step));
+    rows.map(|(((a, b), c), d)| [a[0], b[0], c[0], d[0]])
+}
+
+/// The linear stencil with both references in bounds (the frozen
+/// reference's interior expression).
+#[inline(always)]
+fn linear_interior([a, b]: [f32; 2]) -> f64 {
+    0.5 * (a as f64 + b as f64)
+}
+
+/// The cubic stencil with all four references in bounds (the frozen
+/// reference's interior expression).
+#[inline(always)]
+fn cubic_interior([d0, d1, d2, d3]: [f32; 4]) -> f64 {
+    let (d0, d1, d2, d3) = (d0 as f64, d1 as f64, d2 as f64, d3 as f64);
+    (9.0 / 16.0) * (d1 + d2) - (1.0 / 16.0) * (d0 + d3)
+}
+
+/// Linear fit over the `−s, +s` references `d`: each counts when `v` says
+/// so (in bounds, and valid on masked grids). Sums `0.0 + c·d` over the
+/// counted references only, in ascending offset order, with
+/// [`linear_coeffs`] — the frozen reference's exact operation order, so
+/// every bit is the same.
+#[inline(always)]
+fn linear_fit(d: [f32; 2], v: [bool; 2]) -> f64 {
+    weighted(d, v, linear_coeffs(v))
+}
+
+/// Cubic fit over the `−3s, −s, +s, +3s` references `d`, with `v` as in
+/// [`linear_fit`]: the 4-bit validity code picks Theorem 1's coefficients
+/// via [`cubic_coeffs`], summed as [`weighted`] does, bit-identical to the
+/// frozen reference's.
+#[inline(always)]
+fn cubic_fit(d: [f32; 4], v: [bool; 4]) -> f64 {
+    weighted(d, v, cubic_coeffs(v))
+}
+
+/// `0.0 + c·d` over the references `v` counts, in ascending offset order.
 ///
 /// The sum is branch-free: an uncounted reference adds `+0.0`, which leaves
 /// the sum's bits unchanged because a sum that starts at `+0.0` is never
-/// `−0.0`. Its load is redirected to the target itself when out of bounds,
-/// and its product, which a masked fill may make non-finite, is discarded.
-// xtask-allow-fn: R5 -- callers pass idx ≥ step (targets sit at i ≥ s) and hi only when idx + step is inside the grid
+/// `−0.0`. Its value may be anything — a stand-in for a reference out of
+/// bounds, or a masked fill that makes the product non-finite — since the
+/// product is discarded.
 #[inline(always)]
-fn linear_fit(
-    buf: &[f32],
-    valid: impl Fn(usize) -> bool,
-    idx: usize,
-    step: usize,
-    hi: bool,
-) -> f64 {
-    let j = [idx - step, if hi { idx + step } else { idx }];
-    let v = [valid(j[0]), hi & valid(j[1])];
-    let c = linear_coeffs(v);
+fn weighted<const N: usize>(d: [f32; N], v: [bool; N], c: [f64; N]) -> f64 {
     let mut p = 0.0f64;
-    for k in 0..2 {
-        let t = c[k] * buf[j[k]] as f64;
-        p += if v[k] { t } else { 0.0 };
-    }
-    p
-}
-
-/// Cubic fit for a valid target at linear index `idx`, with references at
-/// `−3s, −s, +s, +3s` (`step` = `s` in elements). The `−s` reference is
-/// always in bounds; `lo3`, `hi1` and `hi3` say whether the `−3s`, `+s`
-/// and `+3s` ones are (see [`cubic_bounds`]). The 4-bit validity code (in
-/// bounds and `valid`) picks Theorem 1's coefficients via [`cubic_coeffs`];
-/// the sum is [`linear_fit`]'s branch-free ascending-order sum,
-/// bit-identical to the frozen reference's.
-// xtask-allow-fn: R5 -- callers pass idx ≥ step (targets sit at i ≥ s) and set each bounds flag only when that reference is inside the grid
-#[inline(always)]
-fn cubic_fit(
-    buf: &[f32],
-    valid: impl Fn(usize) -> bool,
-    idx: usize,
-    step: usize,
-    (lo3, hi1, hi3): (bool, bool, bool),
-) -> f64 {
-    let j = [
-        if lo3 { idx - 3 * step } else { idx },
-        idx - step,
-        if hi1 { idx + step } else { idx },
-        if hi3 { idx + 3 * step } else { idx },
-    ];
-    let v = [
-        lo3 & valid(j[0]),
-        valid(j[1]),
-        hi1 & valid(j[2]),
-        hi3 & valid(j[3]),
-    ];
-    let c = cubic_coeffs(v);
-    let mut p = 0.0f64;
-    for k in 0..4 {
-        let t = c[k] * buf[j[k]] as f64;
+    for k in 0..N {
+        let t = c[k] * d[k] as f64;
         p += if v[k] { t } else { 0.0 };
     }
     p
@@ -945,7 +1000,7 @@ fn cubic_fit(
 
 /// Whether a target at coordinate `i` of a dimension of length `dim_len`
 /// has its `−3s`, `+s` and `+3s` references in bounds (the `−s` one always
-/// is), as [`cubic_fit`] takes them.
+/// is).
 #[inline(always)]
 fn cubic_bounds(i: usize, s: usize, dim_len: usize) -> (bool, bool, bool) {
     (i >= 3 * s, i + s < dim_len, i + 3 * s < dim_len)
@@ -1177,8 +1232,7 @@ mod tests {
 
         let mut out = vec![0.0f32; 64];
         // Too few literals…
-        let err = reconstruct(&mut out, &[64], &params, &q, &symbols, &[], -1.0)
-            .unwrap_err();
+        let err = reconstruct(&mut out, &[64], &params, &q, &symbols, &[], -1.0).unwrap_err();
         let ReconstructError::LiteralCount {
             expected_literals,
             got_literals,
@@ -1287,7 +1341,16 @@ mod tests {
         }
         cases.push((vec![33, 47], data, Some(mask)));
         // Tiny and degenerate shapes exercise every boundary arm.
-        for dims in [&[1usize][..], &[2], &[3], &[7], &[2, 2], &[1, 5], &[2, 1, 3], &[257]] {
+        for dims in [
+            &[1usize][..],
+            &[2],
+            &[3],
+            &[7],
+            &[2, 2],
+            &[1, 5],
+            &[2, 1, 3],
+            &[257],
+        ] {
             let n: usize = dims.iter().product();
             let d: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 5.0).collect();
             cases.push((dims.to_vec(), d, None));
@@ -1327,13 +1390,16 @@ mod tests {
                     let qf = |stride: usize| LinearQuantizer::new(eb * (stride + 1) as f64);
                     let mut buf_new = data.clone();
                     let mut sym_new = vec![0u32; n];
-                    let esc_new = predict_quantize_leveled(
-                        &mut buf_new, dims, &params, &qf, &mut sym_new,
-                    );
+                    let esc_new =
+                        predict_quantize_leveled(&mut buf_new, dims, &params, &qf, &mut sym_new);
                     let mut buf_ref = data.clone();
                     let mut sym_ref = vec![0u32; n];
                     let esc_ref = ref_predict_quantize_leveled(
-                        &mut buf_ref, dims, &params, &qf, &mut sym_ref,
+                        &mut buf_ref,
+                        dims,
+                        &params,
+                        &qf,
+                        &mut sym_ref,
                     );
                     assert_eq!(esc_new, esc_ref, "leveled escapes diverged: {tag}");
                     assert_eq!(sym_new, sym_ref, "leveled symbols diverged: {tag}");
@@ -1358,9 +1424,11 @@ mod tests {
     }
 
     /// The sweep's shapes: every rank-1 and rank-2 shape with dims 1–9,
-    /// seeded rank-3 and rank-4 shapes with dims 1–9, and one shape per
-    /// rank with a dimension of at least 17 (so a line holds interior
-    /// points at several levels).
+    /// seeded rank-3 and rank-4 shapes with dims 1–9, one shape per rank
+    /// with a dimension of at least 17 (so a line holds interior points at
+    /// several levels), and three rank-3 shapes whose trailing lines hold
+    /// at least 32 stride-1 targets, even and odd in length, so every run
+    /// body's full width and every tail length run at strides 1 and 2.
     fn sweep_shapes() -> Vec<Vec<usize>> {
         let mut shapes: Vec<Vec<usize>> = (1..=9).map(|a| vec![a]).collect();
         for a in 1..=9 {
@@ -1379,6 +1447,7 @@ mod tests {
             }
         }
         shapes.extend([vec![19], vec![17, 3], vec![2, 18, 5], vec![3, 2, 2, 17]]);
+        shapes.extend([vec![3, 5, 64], vec![2, 9, 65], vec![3, 40, 41]]);
         shapes
     }
 
@@ -1409,11 +1478,17 @@ mod tests {
     /// (none; random with valid share 0.1, 0.5 and 0.9; all valid but
     /// present; all invalid), both fittings and two bounds. The decoder
     /// must reproduce the encoder's buffer bits at valid points and the
-    /// fill at masked points, and a literal stream one value short or long
-    /// must be a `ReconstructError` on every arm.
+    /// fill at masked points, bit for bit as the frozen decoder does, and a
+    /// literal stream one value short or long must be a `ReconstructError`
+    /// on every arm. Then escape placements the data never isolates — the
+    /// anchor alone, the last point alone, every point — decode on both
+    /// decoders from crafted symbol grids.
     #[test]
     fn oracle_sweep_matches_frozen_reference() {
-        use crate::reference::{ref_predict_quantize, ref_predict_quantize_leveled};
+        use crate::reference::{
+            ref_predict_quantize, ref_predict_quantize_leveled, ref_reconstruct,
+            ref_reconstruct_leveled,
+        };
 
         let fill = -777.0f32;
         let mut state = 0xC11Du64;
@@ -1498,12 +1573,27 @@ mod tests {
                         let mut out = vec![0.0f32; n];
                         reconstruct(&mut out, &dims, &params, &q, &sym, &lits, fill).unwrap();
                         check(&out, &buf, "reconstruct");
+                        let mut ref_out = vec![0.0f32; n];
+                        ref_reconstruct(&mut ref_out, &dims, &params, &q, &sym, &lits, fill)
+                            .unwrap();
+                        assert_eq!(bits(&out), bits(&ref_out), "ref_reconstruct: {tag}");
                         let lvl_lits = literals(&lvl_sym);
                         reconstruct_leveled(
                             &mut out, &dims, &params, &qf, &lvl_sym, &lvl_lits, fill,
                         )
                         .unwrap();
                         check(&out, &lvl_buf, "reconstruct_leveled");
+                        ref_reconstruct_leveled(
+                            &mut ref_out,
+                            &dims,
+                            &params,
+                            &qf,
+                            &lvl_sym,
+                            &lvl_lits,
+                            fill,
+                        )
+                        .unwrap();
+                        assert_eq!(bits(&out), bits(&ref_out), "ref_reconstruct_leveled: {tag}");
 
                         let mut long = lits.clone();
                         long.push(0.0);
@@ -1525,7 +1615,71 @@ mod tests {
                         }
                     }
                 }
+                for placement in ["anchor", "last", "every"] {
+                    escape_placement_decodes_as_frozen(
+                        &dims,
+                        mask.as_deref(),
+                        placement,
+                        &mut state,
+                    );
+                }
             }
+        }
+    }
+
+    /// Decodes a crafted symbol grid — small pseudo-random bins, with
+    /// escapes at `placement` ("anchor": raster index 0, "last": the last
+    /// point, "every": every point) — on both decoders and both fittings,
+    /// plain and leveled, and compares the bits. An escape at a masked
+    /// point is no escape, so it takes no literal.
+    fn escape_placement_decodes_as_frozen(
+        dims: &[usize],
+        mask: Option<&[bool]>,
+        placement: &str,
+        state: &mut u64,
+    ) {
+        use crate::reference::{ref_reconstruct, ref_reconstruct_leveled};
+
+        let n: usize = dims.iter().product();
+        let escaped = |i: usize| match placement {
+            "anchor" => i == 0,
+            "last" => i + 1 == n,
+            _ => true,
+        };
+        let sym: Vec<u32> = (0..n)
+            .map(|i| {
+                let bin = (lcg(state) % 9) as i32 - 4;
+                if escaped(i) {
+                    ESCAPE
+                } else {
+                    bin_to_symbol(bin)
+                }
+            })
+            .collect();
+        let lits: Vec<f32> = (0..n)
+            .filter(|&i| escaped(i) && mask.is_none_or(|m| m[i]))
+            .map(|_| (lcg(state) % 2000) as f32 * 0.01 - 10.0)
+            .collect();
+        let q = LinearQuantizer::new(1e-3);
+        let qf = |stride: usize| LinearQuantizer::new(1e-3 * (stride + 1) as f64);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for fitting in [Fitting::Linear, Fitting::Cubic] {
+            let params = match mask {
+                Some(m) => InterpParams::with_mask(fitting, m),
+                None => InterpParams::new(fitting),
+            };
+            let tag = format!(
+                "dims {dims:?} {fitting:?} escapes at {placement}, masked {}",
+                mask.is_some()
+            );
+            let mut out = vec![0.0f32; n];
+            let mut ref_out = vec![0.0f32; n];
+            reconstruct(&mut out, dims, &params, &q, &sym, &lits, -5.0).unwrap();
+            ref_reconstruct(&mut ref_out, dims, &params, &q, &sym, &lits, -5.0).unwrap();
+            assert_eq!(bits(&out), bits(&ref_out), "{tag}");
+            reconstruct_leveled(&mut out, dims, &params, &qf, &sym, &lits, -5.0).unwrap();
+            ref_reconstruct_leveled(&mut ref_out, dims, &params, &qf, &sym, &lits, -5.0).unwrap();
+            assert_eq!(bits(&out), bits(&ref_out), "leveled, {tag}");
         }
     }
 
@@ -1535,8 +1689,10 @@ mod tests {
     /// so the sweep above cannot see the order; these references span 2^40
     /// to 2^-20 with full mantissas, where the sum rounds and another
     /// order gives other bits. Every validity pattern and bounds case is
-    /// checked against that sum written out; the all-valid code with a
-    /// reference out of bounds is an unmasked boundary point.
+    /// checked against that sum written out, with a non-finite stand-in at
+    /// every reference the fit must not count (a masked fill, or the
+    /// walk's padding past a line end); the all-valid code with a reference
+    /// out of bounds is an unmasked boundary point.
     #[test]
     fn fits_sum_in_reference_order() {
         let d = [
@@ -1545,8 +1701,6 @@ mod tests {
             -0.3f32,
             f32::from_bits(0x3580_0003),
         ];
-        // Line `[d0, fill, d1, target, d2, fill, d3]`: target 3, step 1.
-        let buf = [d[0], f32::NAN, d[1], 0.0, d[2], f32::INFINITY, d[3]];
         let in_order = |refs: &[(bool, f64, f32)]| {
             let mut p = 0.0f64;
             for &(ok, c, v) in refs {
@@ -1556,31 +1710,36 @@ mod tests {
             }
             p
         };
+        let stand_in = |v: &[bool], k: usize| {
+            if v[k] {
+                d[k]
+            } else {
+                [f32::NAN, f32::INFINITY][k % 2]
+            }
+        };
         let mut order_visible = false;
         for code in 0..16usize {
-            let mut m = [true; 7];
-            for (k, at) in [0usize, 2, 4, 6].into_iter().enumerate() {
-                m[at] = code >> k & 1 == 1;
-            }
+            let m: [bool; 4] = std::array::from_fn(|k| code >> k & 1 == 1);
             // Every bounds case a target can meet: +3s in bounds only if +s is.
             for (hi1, hi3) in [(true, true), (true, false), (false, false)] {
                 for lo3 in [true, false] {
-                    let v = [lo3 & m[0], m[2], hi1 & m[4], hi3 & m[6]];
+                    let v = [lo3 & m[0], m[1], hi1 & m[2], hi3 & m[3]];
                     let c = cubic_coeffs(v);
                     let refs: Vec<_> = (0..4).map(|k| (v[k], c[k], d[k])).collect();
                     let want = in_order(&refs);
                     let reversed: Vec<_> = refs.iter().rev().copied().collect();
                     order_visible |= in_order(&reversed).to_bits() != want.to_bits();
-                    let got = cubic_fit(&buf, |j| m[j], 3, 1, (lo3, hi1, hi3));
+                    let got = cubic_fit(std::array::from_fn(|k| stand_in(&v, k)), v);
                     let case = format!("code {code:04b}, bounds {lo3} {hi1} {hi3}");
                     assert_eq!(got.to_bits(), want.to_bits(), "cubic, {case}");
                 }
             }
             for hi in [true, false] {
-                let v = [m[2], hi & m[4]];
+                let v = [m[1], hi & m[2]];
                 let c = linear_coeffs(v);
                 let want = in_order(&[(v[0], c[0], d[1]), (v[1], c[1], d[2])]);
-                let got = linear_fit(&buf, |j| m[j], 3, 1, hi);
+                let four = [false, v[0], v[1], false];
+                let got = linear_fit([stand_in(&four, 1), stand_in(&four, 2)], v);
                 assert_eq!(got.to_bits(), want.to_bits(), "linear, code {code:04b}");
             }
         }

@@ -32,4 +32,6 @@ pub use interp::{
     predict_quantize, predict_quantize_leveled, reconstruct, reconstruct_leveled, InterpParams,
     ReconstructError,
 };
-pub use reference::{ref_predict_quantize, ref_predict_quantize_leveled};
+pub use reference::{
+    ref_predict_quantize, ref_predict_quantize_leveled, ref_reconstruct, ref_reconstruct_leveled,
+};

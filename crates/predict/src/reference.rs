@@ -1,13 +1,16 @@
-//! Frozen pre-rewrite reference for the encode-side interpolation pass.
+//! Frozen pre-rewrite reference for the interpolation pass, both directions.
 //!
 //! [`ref_predict_quantize`] is the predict/quantize path exactly as it stood
 //! before the branch-hoisted kernel rewrite: the per-point branchy traversal
 //! (mask test, fitting dispatch, and bounds checks inside every iteration)
-//! and the `.round()`-based quantizer step. It is kept verbatim as an
-//! executable specification — differential tests pin the live kernel's
-//! escape count, symbol grid, and in-place reconstruction bit-identical
-//! against it, and `stage_bench` measures the live kernel's speedup over it
-//! in the same process.
+//! and the `.round()`-based quantizer step. [`ref_reconstruct`] replays a
+//! symbol grid on that same traversal, one point at a time, with the
+//! decoder's validation pass and its full-size grid of literals scattered to
+//! their raster positions, as the decoder stood before its run kernels.
+//! Both are kept verbatim as executable specifications — differential tests
+//! pin the live kernels' escape count, symbol grid, and reconstruction
+//! bit-identical against them, and `stage_bench` measures the live kernels'
+//! speedup over them in the same process.
 //!
 //! Do not optimize or refactor this module; it is the measuring stick.
 //! The fit-coefficient helpers (`cubic_coeffs`/`linear_coeffs`) are shared
@@ -15,7 +18,7 @@
 //! rewrite.
 
 use crate::fitting::{cubic_coeffs, linear_coeffs, Fitting};
-use crate::interp::InterpParams;
+use crate::interp::{InterpParams, ReconstructError};
 use cliz_quant::{bin_to_symbol, LinearQuantizer, Quantized, ESCAPE};
 
 /// Row-major strides for `dims` (frozen copy).
@@ -110,6 +113,138 @@ pub fn ref_predict_quantize_leveled(
         }
     });
     escapes
+}
+
+/// Frozen pre-rewrite [`crate::reconstruct`].
+pub fn ref_reconstruct(
+    buf: &mut [f32],
+    dims: &[usize],
+    params: &InterpParams,
+    quantizer: &LinearQuantizer,
+    symbols: &[u32],
+    literals: &[f32],
+    fill_value: f32,
+) -> Result<(), ReconstructError> {
+    ref_reconstruct_leveled(
+        buf,
+        dims,
+        params,
+        &|_| *quantizer,
+        symbols,
+        literals,
+        fill_value,
+    )
+}
+
+/// Frozen pre-rewrite [`crate::reconstruct_leveled`]: validation (escape
+/// count against the literals, largest valid symbol against the smallest
+/// radius over the levels), literals scattered into a zero-filled grid the
+/// size of the field, the fill at masked points, then [`ref_walk`] with a
+/// per-point `quantizer_for` dyn call and mask test.
+pub fn ref_reconstruct_leveled(
+    buf: &mut [f32],
+    dims: &[usize],
+    params: &InterpParams,
+    quantizer_for: &dyn Fn(usize) -> LinearQuantizer,
+    symbols: &[u32],
+    literals: &[f32],
+    fill_value: f32,
+) -> Result<(), ReconstructError> {
+    let expected: usize = dims.iter().product();
+    assert_eq!(buf.len(), expected);
+    assert_eq!(symbols.len(), expected);
+    if let Some(m) = params.mask {
+        assert_eq!(m.len(), expected);
+    }
+
+    // Escape count and largest symbol over the valid points (a masked
+    // point reads as the zero bin).
+    let zero = bin_to_symbol(0);
+    let tally = |(escapes, largest): (usize, u32), s: u32| {
+        (escapes + usize::from(s == ESCAPE), largest.max(s))
+    };
+    let (escapes, largest) = match params.mask {
+        None => symbols.iter().copied().fold((0, 0), tally),
+        Some(m) => symbols
+            .iter()
+            .zip(m)
+            .map(|(&s, &keep)| if keep { s } else { zero })
+            .fold((0, 0), tally),
+    };
+    if literals.len() != escapes {
+        return Err(ReconstructError::LiteralCount {
+            expected_literals: escapes,
+            got_literals: literals.len(),
+        });
+    }
+    let max_dim = dims.iter().copied().max().unwrap_or(1);
+    let mut radius = quantizer_for(0).radius();
+    if max_dim > 1 {
+        let mut s = 1usize;
+        while s * 2 < max_dim {
+            s *= 2;
+        }
+        while s >= 1 {
+            radius = radius.min(quantizer_for(s).radius());
+            s /= 2;
+        }
+    }
+    if largest > bin_to_symbol(radius) {
+        return Err(ReconstructError::OutOfRadius {
+            symbol: largest,
+            radius,
+        });
+    }
+
+    // Pre-scatter literals to their raster positions.
+    let mut lit_grid: Option<Vec<f32>> = None;
+    if escapes > 0 {
+        let mut it = literals.iter();
+        let mut grid = vec![0.0f32; expected];
+        match params.mask {
+            None => {
+                for (g, &s) in grid.iter_mut().zip(symbols) {
+                    if s == ESCAPE {
+                        if let Some(&v) = it.next() {
+                            *g = v;
+                        }
+                    }
+                }
+            }
+            Some(m) => {
+                for ((g, &s), &keep) in grid.iter_mut().zip(symbols).zip(m) {
+                    if keep && s == ESCAPE {
+                        if let Some(&v) = it.next() {
+                            *g = v;
+                        }
+                    }
+                }
+            }
+        }
+        lit_grid = Some(grid);
+    }
+
+    if let Some(m) = params.mask {
+        for (v, &keep) in buf.iter_mut().zip(m) {
+            if !keep {
+                *v = fill_value;
+            }
+        }
+    }
+
+    let lit = lit_grid.as_deref();
+    ref_walk(dims, params, buf, |buf, idx, stride, pred| {
+        if !params.mask.is_none_or(|m| m[idx]) {
+            return;
+        }
+        let s = symbols[idx];
+        buf[idx] = if s == ESCAPE {
+            lit.map_or(0.0, |g| g[idx])
+        } else {
+            quantizer_for(stride).recover(s, pred)
+        };
+    });
+    Ok(())
 }
 
 /// Frozen pre-rewrite traversal skeleton (per-point branchy inner loops).

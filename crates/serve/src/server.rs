@@ -13,6 +13,9 @@
 //! Workers notice the flag at the next socket-read poll tick (reads carry
 //! a short timeout), finish the request in flight, and exit; `stop` joins
 //! every thread before returning, so no request is abandoned mid-body.
+//! Writes carry a timeout too: a peer that stops reading ends its own
+//! connection once one write has stalled for [`WRITE_STALL`], so it can pin
+//! a worker, and hold up `stop`, for no longer than that.
 
 use crate::error::ServeError;
 use crate::proto::{self, Request};
@@ -43,6 +46,12 @@ impl Default for ServerConfig {
 /// Socket-read timeout used as the shutdown poll tick: an idle connection
 /// re-checks the shutdown flag this often.
 const READ_POLL: Duration = Duration::from_millis(200);
+
+/// Socket-write timeout: the longest one write may wait for a peer to
+/// drain its receive window. A client that stops reading mid-body fails
+/// that write with [`ServeError::Io`], which ends its connection only; a
+/// slow client that keeps reading never waits this long on one write.
+const WRITE_STALL: Duration = Duration::from_secs(5);
 
 enum Job {
     Conn(TcpStream, Instant),
@@ -210,11 +219,54 @@ fn serve_connection(
     stream: TcpStream,
 ) -> Result<(), ServeError> {
     stream.set_read_timeout(Some(READ_POLL))?;
+    stream.set_write_timeout(Some(WRITE_STALL))?;
     stream.set_nodelay(true)?;
     let mut lines = BufReader::new(stream.try_clone()?);
-    let mut sink = BufWriter::new(stream);
+    let mut sink = BufWriter::new(StallGuard(stream));
+    let served = serve_requests(reader, stats, shutdown, &mut lines, &mut sink);
+    if served.is_err() {
+        // The connection is over and its unsent bytes have nowhere to go.
+        // Discard them: dropping the writer would flush them, and into a
+        // stalled peer that is one more write stall.
+        drop(sink.into_parts());
+    }
+    served
+}
 
-    while let Some(line) = read_request_line(&mut lines, shutdown)? {
+/// A connection's write half, failing every write that ran into the
+/// socket's [`WRITE_STALL`] timeout. A timed-out send still returns the
+/// bytes it moved, and a peer that has stopped reading still frees a little
+/// buffer space now and then, so without this a stalled peer would cost one
+/// timeout per trickle instead of one in all.
+struct StallGuard(TcpStream);
+
+impl Write for StallGuard {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        let started = Instant::now();
+        let moved = self.0.write(bytes)?;
+        if moved < bytes.len() && started.elapsed() >= WRITE_STALL {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                "peer stopped reading",
+            ));
+        }
+        Ok(moved)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.flush()
+    }
+}
+
+/// The request loop of [`serve_connection`].
+fn serve_requests(
+    reader: &ChunkStoreReader,
+    stats: &ServeStats,
+    shutdown: &AtomicBool,
+    lines: &mut BufReader<TcpStream>,
+    sink: &mut impl Write,
+) -> Result<(), ServeError> {
+    while let Some(line) = read_request_line(lines, shutdown)? {
         ServeStats::count(&stats.requests, 1);
         let started = Instant::now();
         let outcome = match proto::parse_request(&line) {
@@ -224,8 +276,8 @@ fn serve_connection(
                 ServeStats::count(&stats.serve_ns, started.elapsed().as_nanos() as u64);
                 break;
             }
-            Ok(Request::Region(spec)) => serve_region(reader, stats, &mut sink, &spec),
-            Ok(Request::Info) => serve_info(reader, &mut sink),
+            Ok(Request::Region(spec)) => serve_region(reader, stats, sink, &spec),
+            Ok(Request::Info) => serve_info(reader, sink),
             Ok(Request::Stats) => {
                 let json = stats.to_json(&reader.stats());
                 writeln!(sink, "OK {}", json.len())?;

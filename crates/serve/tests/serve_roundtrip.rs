@@ -7,11 +7,11 @@ use cliz_quant::ErrorBound;
 use cliz_serve::{Client, ServeError, Server, ServerConfig};
 use cliz_store::storage::{DelayBackend, FileBackend, MemBackend, ReadableStorage};
 use cliz_store::{ChunkStoreReader, Dataset, DEFAULT_CACHE_BUDGET};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn packed_store(dims: &[usize], chunk_len: usize) -> Vec<u8> {
     let grid = Grid::from_fn(Shape::new(dims), |c| {
@@ -189,6 +189,56 @@ fn graceful_stop_joins_and_refuses_new_work() {
         Ok(mut c) => c.region("0:4,:").is_err(),
     };
     assert!(refused, "stopped server must not serve new clients");
+}
+
+#[test]
+fn client_that_stops_reading_frees_its_worker_and_stop_returns() {
+    // The server's write-stall bound: one write waits at most this long.
+    const WRITE_STALL: Duration = Duration::from_secs(5);
+    // A 16 MB region, far more than the loopback socket buffers hold.
+    let reader = packed_reader(&[64, 256, 256], 16);
+    let server = start(&reader, 2);
+    let addr = server.addr();
+
+    // A client that asks for all of it, reads the first bytes of the reply
+    // (so the body is being written) and then stops reading.
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    stalled.write_all(b"REGION :,:,:\n").expect("request sent");
+    let mut head = [0u8; 64];
+    let got = stalled.read(&mut head).expect("reply starts");
+    assert!(
+        head[..got].starts_with(b"OK 64x256x256 "),
+        "{:?}",
+        &head[..got]
+    );
+
+    // A well-behaved client on the other worker is served meanwhile.
+    let mut client = Client::connect(addr).expect("connect");
+    let spec = "3:9,10:20,:";
+    let (_, values) = client
+        .region(spec)
+        .expect("served beside the stalled client");
+    let direct = reader
+        .read_region(&cliz_serve::parse_region(spec, reader.dims()).expect(spec))
+        .expect(spec);
+    assert_eq!(values, direct.as_slice());
+    client.quit().expect("clean quit");
+
+    // The stalled write times out, which ends that connection and frees its
+    // worker, so a graceful stop joins both workers within the bound.
+    let started = Instant::now();
+    let (done, stopped) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.stop();
+        let _ = done.send(());
+    });
+    let joined = stopped.recv_timeout(WRITE_STALL + Duration::from_secs(5));
+    assert!(
+        joined.is_ok(),
+        "stop() still blocked {:?} after a client stopped reading",
+        started.elapsed()
+    );
+    drop(stalled);
 }
 
 /// A one-connection peer that writes `reply` as soon as a client connects,
