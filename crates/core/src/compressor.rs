@@ -27,7 +27,8 @@ use crate::config::{Periodicity, PipelineConfig};
 use crate::error::ClizError;
 use crate::periodic::{add_template, build_template, subtract_template, template_mask};
 use crate::pipeline::{
-    compress_plain, compress_plain_alloc_baseline, decompress_plain, PlainStats,
+    compress_plain, compress_plain_alloc_baseline, compress_plain_with_recon, decompress_plain,
+    PlainStats,
 };
 use crate::scratch::ScratchArena;
 use cliz_format::spec::CLIZ;
@@ -129,17 +130,7 @@ pub fn compress_with_stats_arena(
         (0.0, 0.0)
     };
     let eb_abs = bound.resolve(mn, mx);
-    let fill = representative_fill(data, effective_mask);
-
-    let mut w = ByteWriter::new();
-    w.magic(&CLIZ);
-    w.u8(data.shape().ndim() as u8);
-    for &d in data.shape().dims() {
-        w.u64(d as u64);
-    }
-    w.f64(eb_abs);
-    w.f32(fill);
-    w.u8(effective_mask.is_some() as u8);
+    let mut w = container_header(data, effective_mask, eb_abs);
 
     let mut stats = CompressStats {
         eb_abs,
@@ -160,10 +151,10 @@ pub fn compress_with_stats_arena(
             // Template: per-phase mean, compressed as a nested container.
             let template = build_template(data, effective_mask, time_axis, period);
             let tmask = effective_mask.map(|m| template_mask(m, time_axis, period));
-            let (t_bytes, t_stats) = compress_with_stats_arena(
+            let (t_bytes, t_stats, template_recon) = compress_template(
                 &template,
                 tmask.as_ref(),
-                ErrorBound::Abs(template_eb(eb_abs, config.template_eb_factor)),
+                template_eb(eb_abs, config.template_eb_factor),
                 &inner_config,
                 arena,
             )?;
@@ -173,9 +164,7 @@ pub fn compress_with_stats_arena(
             // (data − template at encode, residual + template at decode),
             // each bounded by half a ULP of the operand magnitude. Without
             // this the reconstruction can land a fraction of a ULP past eb.
-            let template_recon = decompress_arena(&t_bytes, tmask.as_ref(), arena)?;
-            let residual =
-                subtract_template(data, &template_recon, effective_mask, time_axis);
+            let residual = subtract_template(data, &template_recon, effective_mask, time_axis);
             let vmax = mn.abs().max(mx.abs()) as f64 + eb_abs;
             let eb_res = residual_eb(eb_abs, vmax);
             let (r_bytes, r_stats) = compress_with_stats_arena(
@@ -203,6 +192,41 @@ pub fn compress_with_stats_arena(
     let bytes = w.finish();
     stats.compressed_bytes = bytes.len();
     Ok((bytes, stats))
+}
+
+/// A container's header up to its mode byte: magic, shape, the resolved
+/// bound, the fill written at masked points, and whether the stream needs
+/// the mask.
+fn container_header(data: &Grid<f32>, mask: Option<&MaskMap>, eb_abs: f64) -> ByteWriter {
+    let mut w = ByteWriter::new();
+    w.magic(&CLIZ);
+    w.u8(data.shape().ndim() as u8);
+    for &d in data.shape().dims() {
+        w.u64(d as u64);
+    }
+    w.f64(eb_abs);
+    w.f32(representative_fill(data, mask));
+    w.u8(mask.is_some() as u8);
+    w
+}
+
+/// The periodic split's template as the nested plain container that
+/// [`compress_with_stats_arena`] would write for it under `ErrorBound::Abs(eb_abs)`,
+/// with its stats and the reconstruction the decoder will see at every
+/// valid point ([`compress_plain_with_recon`]).
+fn compress_template(
+    template: &Grid<f32>,
+    tmask: Option<&MaskMap>,
+    eb_abs: f64,
+    config: &PipelineConfig,
+    arena: &mut ScratchArena,
+) -> Result<(Vec<u8>, PlainStats, Grid<f32>), ClizError> {
+    let effective_mask = tmask.filter(|m| config.use_mask && !m.is_all_valid());
+    let mut w = container_header(template, effective_mask, eb_abs);
+    w.u8(MODE_PLAIN);
+    let (stats, recon) =
+        compress_plain_with_recon(template, effective_mask, eb_abs, config, &mut w, arena)?;
+    Ok((w.finish(), stats, recon))
 }
 
 /// Error bound handed to the template stage of periodic mode. Kept as a named
@@ -502,6 +526,86 @@ mod tests {
             ..PipelineConfig::default_for(3)
         };
         check_roundtrip(&g, Some(&mask), ErrorBound::Rel(1e-3), &config);
+    }
+
+    /// The periodic encoder takes its residual against the template's
+    /// reconstruction as the encoder hands it back, not against a decode of
+    /// the template's bytes, so the two must agree at every valid template
+    /// point, bit for bit; and the template container must be the bytes the
+    /// public entry point writes for it.
+    #[test]
+    fn template_reconstruction_equals_its_decode() {
+        use crate::periodic::{build_template, template_mask};
+
+        let shape = Shape::new(&[6, 10, 24]);
+        let g = Grid::from_fn(shape.clone(), |c| {
+            let phase = 2.0 * std::f64::consts::PI * (c[2] % 6) as f64 / 6.0;
+            let spike = if (c[0] + c[1] + c[2]) % 37 == 0 {
+                40.0
+            } else {
+                0.0
+            };
+            (c[0] as f64 * 1.5 + (c[1] as f64 * 0.4).sin() * 3.0 + 2.0 * phase.sin() + spike) as f32
+        });
+        let n = g.len();
+        // Land constant along time (its template mask has land too), and a
+        // mask whose only invalid points lie in the first cycle (its
+        // template mask is all valid).
+        let land = (0..n)
+            .map(|i| (i / 240 + 2 * (i / 24 % 10)) % 7 != 3)
+            .collect();
+        let first_cycle = (0..n).map(|i| i % 24 >= 6 || i % 5 != 0).collect();
+        let masks = [land, first_cycle].map(|m| MaskMap::from_flags(shape.clone(), m));
+        assert!(!template_mask(&masks[0], 2, 6).is_all_valid());
+        assert!(template_mask(&masks[1], 2, 6).is_all_valid());
+
+        let mut escapes = 0;
+        for mask in &masks {
+            let template = build_template(&g, Some(mask), 2, 6);
+            let tmask = template_mask(mask, 2, 6);
+            for fitting in [cliz_predict::Fitting::Linear, cliz_predict::Fitting::Cubic] {
+                for permutation in [vec![0, 1, 2], vec![2, 0, 1]] {
+                    for classification in [false, true] {
+                        for eb in [1e-2, 1e-5] {
+                            let config = PipelineConfig {
+                                permutation: permutation.clone(),
+                                fitting,
+                                classification,
+                                ..PipelineConfig::default_for(3)
+                            };
+                            let tag = format!("{fitting:?} {permutation:?} {classification} {eb}");
+                            let mut arena = ScratchArena::new();
+                            let (bytes, stats, recon) =
+                                compress_template(&template, Some(&tmask), eb, &config, &mut arena)
+                                    .unwrap();
+                            escapes += stats.escapes;
+                            let (public, _) = compress_with_stats_arena(
+                                &template,
+                                Some(&tmask),
+                                ErrorBound::Abs(eb),
+                                &config,
+                                &mut arena,
+                            )
+                            .unwrap();
+                            assert_eq!(bytes, public, "container bytes: {tag}");
+                            let decoded = decompress(&bytes, Some(&tmask)).unwrap();
+                            assert_eq!(recon.shape(), decoded.shape());
+                            for i in (0..template.len()).filter(|&i| tmask.is_valid(i)) {
+                                assert_eq!(
+                                    recon.as_slice()[i].to_bits(),
+                                    decoded.as_slice()[i].to_bits(),
+                                    "at {i}: {tag}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            escapes > 0,
+            "no template escaped, so no literal was compared"
+        );
     }
 
     #[test]

@@ -15,7 +15,9 @@ use crate::error::ClizError;
 use crate::scratch::ScratchArena;
 use cliz_entropy::{huffman, multi_decode, multi_encode};
 use cliz_grid::{fuse_shape, Grid, MaskMap};
-use cliz_predict::{predict_quantize, reconstruct, Fitting, InterpParams, ReconstructError};
+use cliz_predict::{
+    predict_quantize, reconstruct, Fitting, InterpParams, ReconstructError, Stretches,
+};
 use cliz_quant::{
     classify::{apply_shifts, classify, unapply_shifts, Classification, ClassifySpec},
     LinearQuantizer, ESCAPE,
@@ -75,6 +77,48 @@ pub fn compress_plain(
     out: &mut ByteWriter,
     arena: &mut ScratchArena,
 ) -> Result<PlainStats, ClizError> {
+    let (stats, buf) = encode_plain(data, mask, eb_abs, config, out, arena)?;
+    arena.recycle_f32(buf);
+    Ok(stats)
+}
+
+/// [`compress_plain`] that also hands back the section's reconstruction in
+/// `data`'s layout: at every valid point, the value [`decompress_plain`]
+/// will decode from the bytes written, bit for bit (the walk's in-place
+/// buffer, un-permuted; un-fusing is a reshape). A masked point keeps its
+/// value from `data`. The periodic encoder takes its residual against this
+/// instead of decoding the template it has just encoded.
+pub(crate) fn compress_plain_with_recon(
+    data: &Grid<f32>,
+    mask: Option<&MaskMap>,
+    eb_abs: f64,
+    config: &PipelineConfig,
+    out: &mut ByteWriter,
+    arena: &mut ScratchArena,
+) -> Result<(PlainStats, Grid<f32>), ClizError> {
+    let (stats, buf) = encode_plain(data, mask, eb_abs, config, out, arena)?;
+    let perm = &config.permutation;
+    let working = Grid::from_vec(data.shape().permuted(perm), buf);
+    let identity = perm.iter().enumerate().all(|(i, &p)| i == p);
+    let recon = if identity {
+        working
+    } else {
+        working.unpermuted(perm)
+    };
+    Ok((stats, recon))
+}
+
+/// The plain pipeline behind [`compress_plain`]: writes the section and
+/// returns its stats and the walk's buffer, the reconstruction in the
+/// working layout.
+fn encode_plain(
+    data: &Grid<f32>,
+    mask: Option<&MaskMap>,
+    eb_abs: f64,
+    config: &PipelineConfig,
+    out: &mut ByteWriter,
+    arena: &mut ScratchArena,
+) -> Result<(PlainStats, Vec<f32>), ClizError> {
     // 1. Physical permutation (data and mask travel together). The identity
     //    permutation is the common tuned outcome and must not copy: borrow
     //    the caller's grid, materialize only a genuinely permuted layout.
@@ -104,10 +148,13 @@ pub fn compress_plain(
     // 3. Predict + quantize into a raster-order symbol grid. The prediction
     //    buffer must be a mutable copy (the predictor overwrites it with the
     //    reconstruction), but its backing store is recycled across calls.
+    //    A masked section's stretches are built once, here, and drive the
+    //    walk and the symbol gather.
     let quantizer = LinearQuantizer::new(eb_abs);
-    let params = match mask_slice {
-        Some(m) => InterpParams::with_mask(config.fitting, m),
-        None => InterpParams::new(config.fitting),
+    let stretches = mask_slice.map(|m| Stretches::new(m, dims[dims.len() - 1]));
+    let params = match (mask_slice, &stretches) {
+        (Some(m), Some(st)) => InterpParams::with_stretches(config.fitting, m, st),
+        _ => InterpParams::new(config.fitting),
     };
     let mut buf = arena.take_f32();
     buf.extend_from_slice(working.as_slice());
@@ -133,17 +180,12 @@ pub fn compress_plain(
 
     // 5. Entropy-code the valid symbols. Without a mask every symbol is
     //    valid, so the coder reads the symbol grid in place — the gather
-    //    pass (and its full-size allocation) only runs for masked data.
+    //    pass (and its full-size allocation) only runs for masked data, and
+    //    copies whole stretches.
     let mut gathered = arena.take_u32();
-    let valid_symbols: &[u32] = match mask_slice {
-        Some(m) => {
-            gathered.extend(
-                symbols
-                    .iter()
-                    .zip(m)
-                    .filter(|&(_, &v)| v)
-                    .map(|(&s, _)| s),
-            );
+    let valid_symbols: &[u32] = match &stretches {
+        Some(st) => {
+            st.gather(&symbols, &mut gathered);
             &gathered
         }
         None => &symbols,
@@ -156,11 +198,14 @@ pub fn compress_plain(
         None => huffman::encode_stream(valid_symbols),
     };
 
-    // 6. Literals for escapes, in raster order over valid positions.
+    // 6. Literals for escapes, in raster order over valid positions. The
+    //    walk counted them, so a section without one skips the scan.
     let mut literals = Vec::with_capacity(escapes * 4);
-    for (i, (&s, &v)) in symbols.iter().zip(&buf).enumerate() {
-        if s == ESCAPE && mask_slice.is_none_or(|m| m[i]) {
-            literals.extend_from_slice(&v.to_le_bytes());
+    if escapes > 0 {
+        for (i, (&s, &v)) in symbols.iter().zip(&buf).enumerate() {
+            if s == ESCAPE && mask_slice.is_none_or(|m| m[i]) {
+                literals.extend_from_slice(&v.to_le_bytes());
+            }
         }
     }
     debug_assert_eq!(literals.len(), escapes * 4);
@@ -186,15 +231,15 @@ pub fn compress_plain(
     out.u64(escapes as u64);
     out.block(&packed);
 
-    arena.recycle_f32(buf);
     arena.recycle_u32(symbols);
     arena.recycle_u32(gathered);
 
-    Ok(PlainStats {
+    let stats = PlainStats {
         escapes,
         classification_used: class.is_some(),
         payload_bytes: packed.len(),
-    })
+    };
+    Ok((stats, buf))
 }
 
 /// Frozen pre-optimization reference implementation of [`compress_plain`]:
@@ -354,17 +399,12 @@ pub fn decompress_plain(
         }
         seen[p] = true;
     }
+    // The identity permutation borrows the caller's mask.
     let identity = perm.iter().enumerate().all(|(i, &p)| i == p);
     let permuted_shape = cliz_grid::Shape::new(dims).permuted(&perm);
-    let wmask: Option<MaskMap> = match mask {
-        Some(m) if !m.is_all_valid() => Some(if identity {
-            m.clone()
-        } else {
-            m.permuted(&perm)
-        }),
-        _ => None,
-    };
-    let mask_slice = wmask.as_ref().map(|m| m.as_slice());
+    let mask = mask.filter(|m| !m.is_all_valid());
+    let wmask_storage: Option<MaskMap> = mask.filter(|_| !identity).map(|m| m.permuted(&perm));
+    let mask_slice = wmask_storage.as_ref().or(mask).map(|m| m.as_slice());
 
     let fused = fuse_shape(&permuted_shape, fusion);
     let fdims = fused.dims().to_vec();
@@ -387,7 +427,10 @@ pub fn decompress_plain(
             }
         }
     }
-    let n_valid = mask_slice.map_or(total, |m| m.iter().filter(|&&v| v).count());
+    // The section's stretches, built once: they give the valid count and
+    // drive the scatter, the fill, the validation fold and the walk.
+    let stretches = mask_slice.map(|m| Stretches::new(m, fdims[fdims.len() - 1]));
+    let n_valid = stretches.as_ref().map_or(total, Stretches::valid_count);
     if escapes > n_valid {
         return Err(ClizError::Corrupt("escape count exceeds data size"));
     }
@@ -415,17 +458,14 @@ pub fn decompress_plain(
     }
 
     // The symbol grid. Unmasked, the decoded vector already is it. Masked,
-    // scatter into an arena buffer with placeholder bins at masked points;
-    // the count check above makes the scatter exact.
-    let mut symbols = match mask_slice {
+    // scatter into an arena buffer with placeholder bins at masked points,
+    // stretch by stretch; the count check above makes the scatter exact.
+    let mut symbols = match &stretches {
         None => valid_symbols,
-        Some(m) => {
+        Some(st) => {
             let mut grid = arena.take_u32();
             grid.resize(total, cliz_quant::bin_to_symbol(0));
-            let valid_slots = grid.iter_mut().zip(m).filter(|&(_, &keep)| keep);
-            for ((slot, _), &s) in valid_slots.zip(&valid_symbols) {
-                *slot = s;
-            }
+            st.scatter(&valid_symbols, &mut grid);
             grid
         }
     };
@@ -448,9 +488,9 @@ pub fn decompress_plain(
     // its one pre-pass checks the escape count against the literals (so
     // against the header's count, which sized them) and every symbol
     // against the quantizer radius, before the walk writes anything.
-    let params = match mask_slice {
-        Some(m) => InterpParams::with_mask(fitting, m),
-        None => InterpParams::new(fitting),
+    let params = match (mask_slice, &stretches) {
+        (Some(m), Some(st)) => InterpParams::with_stretches(fitting, m, st),
+        _ => InterpParams::new(fitting),
     };
     let quantizer = LinearQuantizer::new(eb_abs);
     let mut buf = vec![0.0f32; total];

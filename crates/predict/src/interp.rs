@@ -35,11 +35,30 @@
 //!   The quantizer's long arithmetic chain then runs in a loop of its own
 //!   instead of waiting on each stencil.
 //!
-//! Every target whose stencil may lack a reference runs [`linear_fit`] or
-//! [`cubic_fit`], which sum the valid references in the frozen reference's
-//! order: on masked grids every valid target (validity is bounds and mask),
-//! on unmasked ones the boundary points (validity is bounds alone). Unmasked
-//! interior targets run the plain stencil, as the reference does.
+//! Unmasked interior targets run the plain stencil, as the reference does,
+//! and unmasked boundary targets run [`linear_fit`] or [`cubic_fit`] with
+//! validity from bounds alone.
+//!
+//! A masked section is read through its [`Stretches`], the run-length form
+//! of its mask, and never one flag at a time. The walk cuts each run where
+//! the validity of its target or of a reference changes, so the side only
+//! ever sees valid targets and has no mask test of its own:
+//!
+//! * an invalid stretch is skipped; its symbols get the zero-bin
+//!   placeholder, or its values the fill, once per section;
+//! * a strided run is cut where the intersection of the target row's and
+//!   the reference rows' stretches changes, so each piece has one validity
+//!   pattern and runs with Theorem 1's coefficients fixed for the piece.
+//!   Where the reference rows have the target row's stretches (a mask
+//!   constant along the pass's dimension), the pieces are the target's
+//!   stretches and no intersection is computed;
+//! * on a trailing line, the targets whose references all lie in the
+//!   target's stretch run with the all-valid coefficients fixed, and only
+//!   the targets near a stretch end run the per-point fit.
+//!
+//! Fixed or per point, every masked prediction is [`weighted`]'s sum, in
+//! the frozen reference's order: never the plain stencil, which rounds
+//! differently.
 //!
 //! Decode validates its untrusted streams in [`reconstruct`] itself: one
 //! pre-pass over the valid points finds the largest symbol (against the
@@ -52,7 +71,9 @@
 //! shares one radius, as every encoder here does.
 
 use crate::fitting::{cubic_coeffs, linear_coeffs, Fitting};
+use crate::stretches::Stretches;
 use cliz_quant::{bin_to_symbol, LinearQuantizer, ESCAPE};
+use std::borrow::Cow;
 
 /// Per-call parameters for the interpolation pass.
 #[derive(Clone, Copy, Debug)]
@@ -60,6 +81,9 @@ pub struct InterpParams<'a> {
     pub fitting: Fitting,
     /// Validity per point (raster order); `None` = everything valid.
     pub mask: Option<&'a [bool]>,
+    /// `mask` in run-length form, rows along the trailing dimension, when
+    /// the caller has built it; the walk builds it from `mask` otherwise.
+    stretches: Option<&'a Stretches>,
 }
 
 impl<'a> InterpParams<'a> {
@@ -67,6 +91,7 @@ impl<'a> InterpParams<'a> {
         Self {
             fitting,
             mask: None,
+            stretches: None,
         }
     }
 
@@ -74,7 +99,35 @@ impl<'a> InterpParams<'a> {
         Self {
             fitting,
             mask: Some(mask),
+            stretches: None,
         }
+    }
+
+    /// [`InterpParams::with_mask`] with the mask's stretches built by the
+    /// caller, who reads them too (for the symbol gather, say).
+    pub fn with_stretches(fitting: Fitting, mask: &'a [bool], stretches: &'a Stretches) -> Self {
+        Self {
+            fitting,
+            mask: Some(mask),
+            stretches: Some(stretches),
+        }
+    }
+
+    /// The section's stretches: the caller's, or built from the flags.
+    fn section_stretches(&self, dims: &[usize]) -> Option<Cow<'a, Stretches>> {
+        let row_len = dims.last().copied().unwrap_or(1);
+        let st = match (self.stretches, self.mask) {
+            (Some(st), _) => Cow::Borrowed(st),
+            (None, Some(m)) => Cow::Owned(Stretches::new(m, row_len)),
+            (None, None) => return None,
+        };
+        assert_eq!(st.row_len(), row_len, "stretch rows != trailing dimension");
+        assert_eq!(
+            st.len(),
+            dims.iter().product::<usize>(),
+            "mask/shape mismatch"
+        );
+        Some(st)
     }
 }
 
@@ -126,6 +179,7 @@ fn strides_of(dims: &[usize]) -> Vec<usize> {
 /// per point into `symbols` (raster order) and overwriting `buf` with the
 /// decoder-identical reconstruction. Masked points are skipped (their symbol
 /// is a zero-bin placeholder the encoder drops; `buf` keeps the fill value).
+/// At every valid point `buf` then holds what [`reconstruct`] will decode.
 ///
 /// Returns the escape (literal) count. Escaped points keep their original
 /// value in `buf`; collect literals by scanning `symbols` for [`ESCAPE`].
@@ -176,15 +230,20 @@ fn encode(
     if let Some(m) = params.mask {
         assert_eq!(m.len(), expected);
     }
+    let stretches = params.section_stretches(dims);
+    if let Some(st) = &stretches {
+        // The zero-bin placeholder the encoder drops; the walk never
+        // visits a masked point.
+        st.fill_invalid(symbols, bin_to_symbol(0));
+    }
     let mut side = Encode {
         q: levels(0),
         levels,
         symbols,
-        mask: params.mask,
         batch: Vec::new(),
         escapes: 0,
     };
-    walk(dims, params, buf, &mut side);
+    walk(dims, params.fitting, stretches.as_deref(), buf, &mut side);
     side.escapes
 }
 
@@ -259,12 +318,13 @@ fn decode(
     if let Some(m) = params.mask {
         assert_eq!(m.len(), expected);
     }
+    let stretches = params.section_stretches(dims);
 
     // Validate both streams before writing anything: the container may
     // disagree with its own symbol grid, and `recover` takes in-radius bins
     // as an invariant.
     let mut at = Vec::new();
-    let largest = scan_symbols(symbols, params.mask, &mut at);
+    let largest = scan_symbols(symbols, stretches.as_deref(), &mut at);
     if literals.len() != at.len() {
         return Err(ReconstructError::LiteralCount {
             expected_literals: at.len(),
@@ -281,60 +341,45 @@ fn decode(
 
     // Masked points get the fill value, which the walk never overwrites;
     // with no mask there is nothing to do.
-    if let Some(m) = params.mask {
-        for (v, &keep) in buf.iter_mut().zip(m) {
-            if !keep {
-                *v = fill_value;
-            }
-        }
+    if let Some(st) = &stretches {
+        st.fill_invalid(buf, fill_value);
     }
 
     let mut side = Decode {
         q: levels(0),
         levels,
         symbols,
-        mask: params.mask,
         escapes: (!at.is_empty()).then_some(Escapes { at, literals }),
     };
-    walk(dims, params, buf, &mut side);
+    walk(dims, params.fitting, stretches.as_deref(), buf, &mut side);
     Ok(())
 }
 
-/// The decoder's one pass over the symbols of the valid points: returns the
-/// largest symbol, and pushes the raster position of every escape onto
-/// `escapes` in ascending order. Each block folds its escape count and
-/// maximum branch-free; only a block that holds an escape is read again for
-/// the positions. The mask test is hoisted out of the per-element loops.
-fn scan_symbols(symbols: &[u32], mask: Option<&[bool]>, escapes: &mut Vec<usize>) -> u32 {
+/// The decoder's one pass over the symbols of the valid points, stretch by
+/// stretch (the whole grid when unmasked; a masked point's symbol is never
+/// read): returns the largest symbol, and pushes the raster position of
+/// every escape onto `escapes` in ascending order. Each block folds its
+/// escape count and maximum branch-free; only a block that holds an escape
+/// is read again for the positions.
+fn scan_symbols(symbols: &[u32], mask: Option<&Stretches>, escapes: &mut Vec<usize>) -> u32 {
     const BLOCK: usize = 256;
     let tally = |(n, largest): (usize, u32), s: u32| (n + usize::from(s == ESCAPE), largest.max(s));
     let mut largest = 0u32;
-    match mask {
-        None => {
-            for (b, block) in symbols.chunks(BLOCK).enumerate() {
-                let (n, top) = block.iter().copied().fold((0, 0), tally);
-                largest = largest.max(top);
-                if n > 0 {
-                    let hits = block.iter().enumerate().filter(|&(_, &s)| s == ESCAPE);
-                    escapes.extend(hits.map(|(k, _)| b * BLOCK + k));
-                }
+    let mut fold = |from: usize, run: &[u32]| {
+        for (b, block) in run.chunks(BLOCK).enumerate() {
+            let (n, top) = block.iter().copied().fold((0, 0), tally);
+            largest = largest.max(top);
+            if n > 0 {
+                let hits = block.iter().enumerate().filter(|&(_, &s)| s == ESCAPE);
+                escapes.extend(hits.map(|(k, _)| from + b * BLOCK + k));
             }
         }
-        // A masked point reads as the zero bin: never an escape, and never
-        // above any radius.
-        Some(m) => {
-            let zero = bin_to_symbol(0);
-            let live = |(&s, &keep): (&u32, &bool)| if keep { s } else { zero };
-            for (b, (block, keep)) in symbols.chunks(BLOCK).zip(m.chunks(BLOCK)).enumerate() {
-                let (n, top) = block.iter().zip(keep).map(live).fold((0, 0), tally);
-                largest = largest.max(top);
-                if n > 0 {
-                    let hits = block.iter().zip(keep).map(live).enumerate();
-                    escapes.extend(
-                        hits.filter(|&(_, s)| s == ESCAPE)
-                            .map(|(k, _)| b * BLOCK + k),
-                    );
-                }
+    };
+    match mask {
+        None => fold(0, symbols),
+        Some(st) => {
+            for r in st.valid_ranges() {
+                fold(r.start, &symbols[r]);
             }
         }
     }
@@ -376,8 +421,8 @@ trait Side {
     /// the run's other targets follow every `step` elements to the end of
     /// `tgt` (whose length is one past the last target); the elements in
     /// between are not the side's to touch. `preds` yields one prediction
-    /// per target, in order, and 0.0 at a masked target, whose value the
-    /// side leaves alone.
+    /// per target, in order. Every target of a run is valid: the walk cuts
+    /// masked points out of its runs.
     fn run(&mut self, tgt: &mut [f32], start: usize, step: usize, preds: impl Iterator<Item = f64>);
 }
 
@@ -389,7 +434,6 @@ struct Encode<'a, L> {
     /// The current level's quantizer.
     q: LinearQuantizer,
     symbols: &'a mut [u32],
-    mask: Option<&'a [bool]>,
     /// One run's predictions, hoisted so every run reuses one allocation.
     /// Sized indexed storage, not `push`: the capacity branch and length
     /// update inside `push` cost ~3 ns/pt in the interior loops (measured).
@@ -425,37 +469,16 @@ impl<L: Fn(usize) -> LinearQuantizer> Side for Encode<'_, L> {
         let span = start..start + tgt.len();
         let cells = tgt
             .chunks_mut(step)
-            .zip(self.symbols[span.clone()].chunks_mut(step))
+            .zip(self.symbols[span].chunks_mut(step))
             .zip(batch.iter());
-        match self.mask {
-            None => {
-                let mut escapes = 0usize;
-                for ((t, sym), &pred) in cells {
-                    let (symbol, recon, ok) = q.quantize_select(t[0], pred);
-                    sym[0] = symbol;
-                    t[0] = recon;
-                    escapes += usize::from(!ok);
-                }
-                self.escapes += escapes;
-            }
-            Some(m) => {
-                // A masked point keeps its fill and gets the zero-bin
-                // placeholder the encoder drops.
-                let zero = bin_to_symbol(0);
-                let mut escapes = 0usize;
-                for (((t, sym), &pred), keep) in cells.zip(m[span].chunks(step)) {
-                    if keep[0] {
-                        let (symbol, recon, ok) = q.quantize_select(t[0], pred);
-                        sym[0] = symbol;
-                        t[0] = recon;
-                        escapes += usize::from(!ok);
-                    } else {
-                        sym[0] = zero;
-                    }
-                }
-                self.escapes += escapes;
-            }
+        let mut escapes = 0usize;
+        for ((t, sym), &pred) in cells {
+            let (symbol, recon, ok) = q.quantize_select(t[0], pred);
+            sym[0] = symbol;
+            t[0] = recon;
+            escapes += usize::from(!ok);
         }
+        self.escapes += escapes;
     }
 }
 
@@ -465,7 +488,6 @@ struct Decode<'a, L> {
     /// The current level's quantizer.
     q: LinearQuantizer,
     symbols: &'a [u32],
-    mask: Option<&'a [bool]>,
     /// `None` when the section has no escape.
     escapes: Option<Escapes<'a>>,
 }
@@ -502,44 +524,23 @@ impl<L: Fn(usize) -> LinearQuantizer> Side for Decode<'_, L> {
     ) {
         let q = self.q;
         let span = start..start + tgt.len();
-        let cells = tgt
-            .chunks_mut(step)
-            .zip(self.symbols[span.clone()].chunks(step));
-        // Four bodies, the mask and escape tests hoisted out of each. The
-        // validation pass saw every valid symbol, so outside an escape
-        // body no valid symbol is an escape.
-        match (self.mask, &self.escapes) {
-            (None, None) => {
+        let cells = tgt.chunks_mut(step).zip(self.symbols[span].chunks(step));
+        // Two bodies, the escape test hoisted out of each. The validation
+        // pass saw every valid symbol, so outside the escape body no symbol
+        // is an escape.
+        match &self.escapes {
+            None => {
                 for ((t, sym), pred) in cells.zip(preds) {
                     t[0] = q.recover(sym[0], pred);
                 }
             }
-            (None, Some(esc)) => {
+            Some(esc) => {
                 for (k, ((t, sym), pred)) in cells.zip(preds).enumerate() {
                     t[0] = if sym[0] == ESCAPE {
                         esc.literal(start + k * step)
                     } else {
                         q.recover(sym[0], pred)
                     };
-                }
-            }
-            (Some(m), None) => {
-                for (((t, sym), keep), pred) in cells.zip(m[span].chunks(step)).zip(preds) {
-                    if keep[0] {
-                        t[0] = q.recover(sym[0], pred);
-                    }
-                }
-            }
-            (Some(m), Some(esc)) => {
-                let cells = cells.zip(m[span].chunks(step)).zip(preds);
-                for (k, (((t, sym), keep), pred)) in cells.enumerate() {
-                    if keep[0] {
-                        t[0] = if sym[0] == ESCAPE {
-                            esc.literal(start + k * step)
-                        } else {
-                            q.recover(sym[0], pred)
-                        };
-                    }
                 }
             }
         }
@@ -571,12 +572,24 @@ impl<L: Fn(usize) -> LinearQuantizer> Side for Decode<'_, L> {
 ///   it ([`trailing_line`]).
 ///
 /// The rows and lines come from an odometer over the remaining dimensions
-/// ([`for_each_row`]); no list of them is built.
+/// ([`for_each_row`]); no list of them is built. On a masked grid
+/// (`mask`, the section's stretches) each run goes to the masked kernels
+/// ([`strided_run_masked`], [`trailing_line_masked`]), which hand the side
+/// only its valid targets.
 // xtask-allow-fn: R5 -- callers assert dims product == buf.len() (>= 1 for any shape the pipeline accepts), so the anchor exists
-fn walk<S: Side>(dims: &[usize], params: &InterpParams, buf: &mut [f32], side: &mut S) {
+fn walk<S: Side>(
+    dims: &[usize],
+    fitting: Fitting,
+    mask: Option<&Stretches>,
+    buf: &mut [f32],
+    side: &mut S,
+) {
     // Anchor point: nothing is known yet, predict zero.
     side.level(0);
-    side.run(&mut buf[..1], 0, 1, std::iter::once(0.0));
+    let anchor_valid = mask.is_none_or(|st| st.row(0).first().is_some_and(|&(a, _)| a == 0));
+    if anchor_valid {
+        side.run(&mut buf[..1], 0, 1, std::iter::once(0.0));
+    }
     let Some(mut s) = top_stride(dims) else {
         return;
     };
@@ -598,23 +611,24 @@ fn walk<S: Side>(dims: &[usize], params: &InterpParams, buf: &mut [f32], side: &
             // last of its `count` targets, `2s` apart.
             let count = trailing_len.div_ceil(2 * s);
             let pass = Pass {
-                fitting: params.fitting,
-                mask: params.mask,
+                fitting,
                 dim_len: dims[d],
                 dim_stride: strides[d],
                 s,
                 span: (count - 1) * 2 * s + 1,
             };
             if d == last {
-                for_each_row(dims, &strides, &mut coords, d, s, |base| {
-                    trailing_line(buf, &pass, base, &mut line, side);
+                for_each_row(dims, &strides, &mut coords, d, s, |base| match mask {
+                    None => trailing_line(buf, &pass, base, &mut line, side),
+                    Some(st) => trailing_line_masked(buf, &pass, st, base, &mut line, side),
                 });
             } else {
                 let mut i = s;
                 while i < pass.dim_len {
                     let plane = i * pass.dim_stride;
-                    for_each_row(dims, &strides, &mut coords, d, s, |base| {
-                        strided_run(buf, &pass, i, base + plane, side);
+                    for_each_row(dims, &strides, &mut coords, d, s, |base| match mask {
+                        None => strided_run(buf, &pass, i, base + plane, side),
+                        Some(st) => strided_run_masked(buf, &pass, st, i, base + plane, side),
                     });
                     i += 2 * s;
                 }
@@ -670,41 +684,27 @@ fn for_each_row(
 /// `s` along a dimension of length `dim_len` and element stride
 /// `dim_stride`. `span` is a strided pass's run length along the trailing
 /// dimension.
-struct Pass<'a> {
+struct Pass {
     fitting: Fitting,
-    mask: Option<&'a [bool]>,
     dim_len: usize,
     dim_stride: usize,
     s: usize,
     span: usize,
 }
 
-/// One run of a strided pass: the targets on target plane `i` (an odd
-/// multiple of `s` along the pass's dimension) that start at raster index
-/// `start` and lie `2s` apart along the trailing dimension.
-///
-/// The `±s` and `±3s` reference runs are the same run on the planes `i ± s`
-/// and `i ± 3s`, `s · dim_stride` elements per plane away. Since
-/// `dim_stride` is at least the trailing length, which is at least `span`,
-/// they sit wholly below or above the target run: one `split_at_mut` on
-/// each side of it makes the run mutable and the references shared. A
-/// reference plane outside the grid is stood in for by the `−s` run, with
-/// its bound flag false. The interior/boundary split is per plane: an
-/// unmasked plane with every reference in bounds runs the plain stencil,
-/// an unmasked boundary plane the fit with the plane's coefficients, and a
-/// masked grid the fit with validity read from the mask.
-fn strided_run<S: Side>(buf: &mut [f32], pass: &Pass, i: usize, start: usize, side: &mut S) {
-    let &Pass {
-        fitting,
-        mask,
-        dim_len,
-        dim_stride,
-        s,
-        span,
-    } = pass;
-    let step = 2 * s;
-    let plane = s * dim_stride;
-    let (lo3, hi1, hi3) = cubic_bounds(i, s, dim_len);
+/// Splits a strided run from its reference runs: the `span` elements from
+/// raster index `start`, mutable, and the same run on the planes `−3s, −s,
+/// +s, +3s` away, `plane` elements per `s`. A reference plane outside the
+/// grid (`bounds` as [`cubic_bounds`] gives them) is stood in for by the
+/// `−s` run.
+#[inline(always)]
+fn split_refs(
+    buf: &mut [f32],
+    start: usize,
+    span: usize,
+    plane: usize,
+    (lo3, hi1, hi3): (bool, bool, bool),
+) -> (&mut [f32], [&[f32]; 4]) {
     let (below, rest) = buf.split_at_mut(start);
     let (tgt, above) = rest.split_at_mut(span);
     // `above[x]` is element `start + span + x`.
@@ -727,21 +727,48 @@ fn strided_run<S: Side>(buf: &mut [f32], pass: &Pass, i: usize, start: usize, si
             m1
         },
     ];
-    match (mask, fitting) {
-        (None, Fitting::Linear) if hi1 => {
+    (tgt, r)
+}
+
+/// One run of a strided pass: the targets on target plane `i` (an odd
+/// multiple of `s` along the pass's dimension) that start at raster index
+/// `start` and lie `2s` apart along the trailing dimension.
+///
+/// The `±s` and `±3s` reference runs are the same run on the planes `i ± s`
+/// and `i ± 3s`, `s · dim_stride` elements per plane away. Since
+/// `dim_stride` is at least the trailing length, which is at least `span`,
+/// they sit wholly below or above the target run: one `split_at_mut` on
+/// each side of it makes the run mutable and the references shared
+/// ([`split_refs`]). The interior/boundary split is per plane: a plane with
+/// every reference in bounds runs the plain stencil, a boundary plane the
+/// fit with the plane's coefficients.
+fn strided_run<S: Side>(buf: &mut [f32], pass: &Pass, i: usize, start: usize, side: &mut S) {
+    let &Pass {
+        fitting,
+        dim_len,
+        dim_stride,
+        s,
+        span,
+    } = pass;
+    let step = 2 * s;
+    let bounds = cubic_bounds(i, s, dim_len);
+    let (lo3, hi1, hi3) = bounds;
+    let (tgt, r) = split_refs(buf, start, span, s * dim_stride, bounds);
+    match fitting {
+        Fitting::Linear if hi1 => {
             let preds = column2([r[1], r[2]], step).map(linear_interior);
             side.run(tgt, start, step, preds);
         }
-        (None, Fitting::Cubic) if lo3 && hi3 => {
+        Fitting::Cubic if lo3 && hi3 => {
             side.run(tgt, start, step, column4(r, step).map(cubic_interior));
         }
-        (None, Fitting::Linear) => {
+        Fitting::Linear => {
             let v = [true, hi1];
             let c = linear_coeffs(v);
             let preds = column2([r[1], r[2]], step).map(|d| weighted(d, v, c));
             side.run(tgt, start, step, preds);
         }
-        (None, Fitting::Cubic) => {
+        Fitting::Cubic => {
             let v = [lo3, true, hi1, hi3];
             let c = cubic_coeffs(v);
             side.run(
@@ -751,40 +778,122 @@ fn strided_run<S: Side>(buf: &mut [f32], pass: &Pass, i: usize, start: usize, si
                 column4(r, step).map(|d| weighted(d, v, c)),
             );
         }
-        (Some(m), fitting) => {
-            // Index the reference runs and read each reference's validity
-            // from its own run of the mask: zipping all nine streams costs
-            // more than the indexing saves.
-            let keep = &m[start..][..span];
-            let v1 = &m[start - plane..][..span];
-            let valid = [
-                if lo3 {
-                    &m[start - 3 * plane..][..span]
-                } else {
-                    v1
-                },
-                v1,
-                if hi1 { &m[start + plane..][..span] } else { v1 },
-                if hi3 {
-                    &m[start + 3 * plane..][..span]
-                } else {
-                    v1
-                },
-            ];
-            let bounds = [lo3, true, hi1, hi3];
-            let preds = (0..span.div_ceil(step)).map(|k| {
-                let j = k * step;
-                if !keep[j] {
-                    return 0.0;
+    }
+}
+
+/// What a masked strided run knows of one reference row.
+enum RefRow<'a> {
+    /// Not read: outside the grid, or outside the fitting's stencil.
+    Unused,
+    /// The target row's twin (same stretches): valid at every target.
+    Twin,
+    /// The row's stretches, from the first that may still hold a target's
+    /// reference.
+    Spans(&'a [(usize, usize)]),
+}
+
+/// [`strided_run`] on a masked grid, `st` the section's stretches.
+///
+/// The run's targets are the target row's stretches; each is cut where a
+/// reference row's validity changes, so every piece has one validity
+/// pattern and runs the fit with that pattern's coefficients fixed. A
+/// reference row with the target row's stretches, which is every row when
+/// the mask is constant along the pass's dimension, is valid wherever a
+/// target is and cuts nothing. An invalid stretch never reaches the side.
+#[inline(never)]
+fn strided_run_masked<S: Side>(
+    buf: &mut [f32],
+    pass: &Pass,
+    st: &Stretches,
+    i: usize,
+    start: usize,
+    side: &mut S,
+) {
+    let &Pass {
+        fitting,
+        dim_len,
+        dim_stride,
+        s,
+        span,
+    } = pass;
+    let row = start / st.row_len();
+    let spans = st.row(row);
+    if spans.is_empty() {
+        return;
+    }
+    let step = 2 * s;
+    let plane = s * dim_stride;
+    let (lo3, hi1, hi3) = cubic_bounds(i, s, dim_len);
+    let (tgt, r) = split_refs(buf, start, span, plane, (lo3, hi1, hi3));
+    let used = match fitting {
+        Fitting::Linear => [false, true, hi1, false],
+        Fitting::Cubic => [lo3, true, hi1, hi3],
+    };
+    let rows_per_plane = plane / st.row_len();
+    let mut refs: [RefRow; 4] = std::array::from_fn(|n| {
+        if !used[n] {
+            return RefRow::Unused;
+        }
+        let ref_row = match n {
+            0 => row - 3 * rows_per_plane,
+            1 => row - rows_per_plane,
+            2 => row + rows_per_plane,
+            _ => row + 3 * rows_per_plane,
+        };
+        let ref_spans = st.row(ref_row);
+        if ref_spans == spans {
+            RefRow::Twin
+        } else {
+            RefRow::Spans(ref_spans)
+        }
+    });
+    // The targets at offsets `x0..x1` of the run, with the validity `v` of
+    // their `−3s, −s, +s, +3s` references.
+    let mut piece = |x0: usize, x1: usize, v: [bool; 4]| {
+        let (k0, k1) = (x0.div_ceil(step), x1.div_ceil(step));
+        if k0 >= k1 {
+            return;
+        }
+        let (first, last) = (k0 * step, (k1 - 1) * step);
+        let run = &mut tgt[first..=last];
+        let r = r.map(|refs| &refs[first..=last]);
+        match fitting {
+            Fitting::Linear => {
+                let v = [v[1], v[2]];
+                let c = linear_coeffs(v);
+                let preds = column2([r[1], r[2]], step).map(|d| weighted(d, v, c));
+                side.run(run, start + first, step, preds);
+            }
+            Fitting::Cubic => {
+                let c = cubic_coeffs(v);
+                let preds = column4(r, step).map(|d| weighted(d, v, c));
+                side.run(run, start + first, step, preds);
+            }
+        }
+    };
+    for &(a, b) in spans {
+        let mut x = a;
+        while x < b {
+            // The piece `x..cut`, on which no row's validity changes.
+            let mut cut = b;
+            let mut v = [false; 4];
+            for (valid, ref_row) in v.iter_mut().zip(&mut refs) {
+                match ref_row {
+                    RefRow::Unused => {}
+                    RefRow::Twin => *valid = true,
+                    RefRow::Spans(rest) => {
+                        while rest.first().is_some_and(|&(_, end)| end <= x) {
+                            *rest = &rest[1..];
+                        }
+                        if let Some(&(lo, hi)) = rest.first() {
+                            *valid = lo <= x;
+                            cut = cut.min(if lo <= x { hi } else { lo });
+                        }
+                    }
                 }
-                let d = r.map(|run| run[j]);
-                let v = [0, 1, 2, 3].map(|n| bounds[n] & valid[n][j]);
-                match fitting {
-                    Fitting::Linear => linear_fit([d[1], d[2]], [v[1], v[2]]),
-                    Fitting::Cubic => cubic_fit(d, v),
-                }
-            });
-            side.run(tgt, start, step, preds);
+            }
+            piece(x, cut, v);
+            x = cut;
         }
     }
 }
@@ -799,16 +908,30 @@ struct Line {
     valid: Vec<bool>,
 }
 
+impl Line {
+    /// Copies the references of `row`, every `step`-th element from the
+    /// first, between the padding slots, and returns their count. Their
+    /// validity is the caller's to set.
+    fn load(&mut self, row: &[f32], step: usize) -> usize {
+        let refs = &mut self.refs;
+        refs.clear();
+        refs.push(0.0);
+        refs.extend(row.iter().step_by(step));
+        let nref = refs.len() - 1;
+        refs.extend([0.0, 0.0]);
+        nref
+    }
+}
+
 /// One line of a trailing pass: the points at odd multiples of `s` on the
 /// line whose coordinate-0 element sits at raster index `base`.
 ///
 /// The line's references are copied into `line` first, so the targets are
-/// written in place while the stencil reads the copy. On unmasked lines the
-/// interior targets — every target whose references are all in bounds,
-/// which is all but the outermost one to three — run the plain stencil over
-/// the copy's windows, and the boundary targets run [`linear_fit`] /
-/// [`cubic_fit`] with the padding as validity. Masked lines run the fits
-/// everywhere with the mask as validity. Each segment is one run.
+/// written in place while the stencil reads the copy. The interior targets
+/// — every target whose references are all in bounds, which is all but the
+/// outermost one to three — run the plain stencil over the copy's windows,
+/// and the boundary targets run [`linear_fit`] / [`cubic_fit`] with the
+/// padding as validity. Each segment is one run.
 // xtask-allow-fn: R5 -- the line base..base + dim_len lies inside the grid (base is a row start, dim_len the trailing length); segment bounds come from the target count
 fn trailing_line<S: Side>(
     buf: &mut [f32],
@@ -819,33 +942,25 @@ fn trailing_line<S: Side>(
 ) {
     let &Pass {
         fitting,
-        mask,
         dim_len,
         s,
         ..
     } = pass;
     let step = 2 * s;
     let row = &mut buf[base..base + dim_len];
+    let nref = line.load(row, step);
     let Line { refs, valid } = line;
-    refs.clear();
-    refs.push(0.0);
-    refs.extend(row.iter().step_by(step));
-    let nref = refs.len() - 1;
-    refs.extend([0.0, 0.0]);
     valid.clear();
     valid.push(false);
-    match mask {
-        None => valid.resize(nref + 1, true),
-        Some(m) => valid.extend(m[base..base + dim_len].iter().step_by(step)),
-    }
+    valid.resize(nref + 1, true);
     valid.extend([false, false]);
 
     let start = base + s;
     let tgt = &mut row[s..];
     let count = tgt.len().div_ceil(step);
     let fits = |a: usize| refs[a..].windows(4).zip(valid[a..].windows(4));
-    match (mask, fitting) {
-        (None, Fitting::Linear) => {
+    match fitting {
+        Fitting::Linear => {
             // Targets 0..nref - 1 have both references; the last target
             // lacks its +s one when the line ends on it.
             let interior = nref - 1;
@@ -862,7 +977,7 @@ fn trailing_line<S: Side>(
                 fits(interior).map(window_linear),
             );
         }
-        (None, Fitting::Cubic) => {
+        Fitting::Cubic => {
             // Target 0 lacks its −3s reference; targets 1..=nref - 3 have
             // all four; the rest lack a + reference.
             let interior = nref.saturating_sub(3);
@@ -879,14 +994,83 @@ fn trailing_line<S: Side>(
                 fits(1 + interior).map(window_cubic),
             );
         }
-        (Some(m), fitting) => {
-            let keep = m[start..][..tgt.len()].chunks(step);
-            let preds = fits(0).zip(keep).map(|(window, k)| match (k[0], fitting) {
-                (false, _) => 0.0,
-                (true, Fitting::Linear) => window_linear(window),
-                (true, Fitting::Cubic) => window_cubic(window),
-            });
-            side.run(tgt, start, step, preds);
+    }
+}
+
+/// [`trailing_line`] on a masked grid, `st` the section's stretches.
+///
+/// The references' validity is read from the line's stretches. Only the
+/// targets in a stretch reach the side, stretch by stretch: those whose
+/// references all lie in their stretch run the fit with the all-valid
+/// coefficients fixed, and only those nearer a stretch end, whose stencil
+/// may cross into the fill or past the line, run [`linear_fit`] /
+/// [`cubic_fit`] per point.
+// xtask-allow-fn: R5 -- as trailing_line; stretch ends are at most dim_len, so every window and target range stays inside the line's buffers
+#[inline(never)]
+fn trailing_line_masked<S: Side>(
+    buf: &mut [f32],
+    pass: &Pass,
+    st: &Stretches,
+    base: usize,
+    line: &mut Line,
+    side: &mut S,
+) {
+    let &Pass {
+        fitting,
+        dim_len,
+        s,
+        ..
+    } = pass;
+    let spans = st.row(base / dim_len);
+    if spans.is_empty() {
+        return;
+    }
+    let step = 2 * s;
+    let row = &mut buf[base..base + dim_len];
+    let nref = line.load(row, step);
+    let Line { refs, valid } = line;
+    valid.clear();
+    valid.resize(nref + 3, false);
+    for &(a, b) in spans {
+        valid[1 + a.div_ceil(step)..1 + b.div_ceil(step)].fill(true);
+    }
+
+    let start = base + s;
+    let tgt = &mut row[s..];
+    let fits = |a: usize| refs[a..].windows(4).zip(valid[a..].windows(4));
+    for &(a, b) in spans {
+        // Target `k` sits at offset `s + 2s·k`: `k0..k1` lie in the
+        // stretch, and `lo..hi` have their whole stencil in it too.
+        let k0 = a.saturating_sub(s).div_ceil(step);
+        let k1 = b.saturating_sub(s).div_ceil(step);
+        let (lo, hi) = match fitting {
+            Fitting::Linear => (a.div_ceil(step), b.saturating_sub(2 * s).div_ceil(step)),
+            Fitting::Cubic => (
+                (a + 2 * s).div_ceil(step),
+                b.saturating_sub(4 * s).div_ceil(step),
+            ),
+        };
+        let lo = lo.clamp(k0, k1);
+        let hi = hi.clamp(lo, k1);
+        match fitting {
+            Fitting::Linear => {
+                let c = linear_coeffs([true; 2]);
+                let pairs = refs[1 + lo..]
+                    .windows(2)
+                    .map(|w| weighted([w[0], w[1]], [true; 2], c));
+                segment(side, tgt, start, step, k0..lo, fits(k0).map(window_linear));
+                segment(side, tgt, start, step, lo..hi, pairs);
+                segment(side, tgt, start, step, hi..k1, fits(hi).map(window_linear));
+            }
+            Fitting::Cubic => {
+                let c = cubic_coeffs([true; 4]);
+                let quads = refs[lo..]
+                    .windows(4)
+                    .map(|w| weighted([w[0], w[1], w[2], w[3]], [true; 4], c));
+                segment(side, tgt, start, step, k0..lo, fits(k0).map(window_cubic));
+                segment(side, tgt, start, step, lo..hi, quads);
+                segment(side, tgt, start, step, hi..k1, fits(hi).map(window_cubic));
+            }
         }
     }
 }
@@ -1473,16 +1657,88 @@ mod tests {
             .collect()
     }
 
+    /// The sweep's masks with stretches, for a shape `dims`, each with the
+    /// dims it applies to:
+    ///
+    /// * stretches that start and end at every offset of a 16-lane block
+    ///   along the trailing axis (row `r`'s block `b` keeps lanes `k mod 16`
+    ///   up to `7k + 5 mod 16`, wrapping, for `k = r + b`);
+    /// * coasts at the first and last targets of runs: the first point and
+    ///   the last two of every other trailing row are invalid, and the third
+    ///   and third-last of every third;
+    /// * all-invalid trailing rows between all-valid ones;
+    /// * one invalid point, the last;
+    /// * on rank-3 shapes, a 2-D land mask repeated along the leading axis,
+    ///   under every permutation of the axes (the permuted shape comes with
+    ///   it), so the axis the mask is constant along takes every position.
+    fn stretch_masks(dims: &[usize]) -> Vec<(Vec<usize>, Vec<bool>)> {
+        let n: usize = dims.iter().product();
+        let l = dims[dims.len() - 1];
+        let by_row = |f: &dyn Fn(usize, usize) -> bool| -> Vec<bool> {
+            (0..n).map(|i| f(i / l, i % l)).collect()
+        };
+        let lanes = |r: usize, x: usize| {
+            let k = r + x / 16;
+            let (a, e, o) = (k % 16, (7 * k + 5) % 16, x % 16);
+            if a < e {
+                (a..e).contains(&o)
+            } else {
+                o >= a || o < e
+            }
+        };
+        let run_ends = |r: usize, x: usize| {
+            let ends = (x == 0 || x + 1 == l || x + 2 == l) && r % 2 == 1;
+            let inner = (x == 2 || x + 3 == l) && r.is_multiple_of(3);
+            !(ends || inner)
+        };
+        let mut masks: Vec<(Vec<usize>, Vec<bool>)> = [
+            by_row(&lanes),
+            by_row(&run_ends),
+            by_row(&|r, _| r % 3 != 1),
+            (0..n).map(|i| i + 1 != n).collect(),
+        ]
+        .into_iter()
+        .map(|m| (dims.to_vec(), m))
+        .collect();
+        if let &[a, b, c] = dims {
+            let land = |j: usize, k: usize| {
+                let (y, x) = (j as f64, k as f64);
+                (0.9 * y).sin() + (0.7 * x).cos() + 0.3 * (0.5 * y * x).sin() < 0.2
+            };
+            for perm in [
+                [0, 1, 2],
+                [0, 2, 1],
+                [1, 0, 2],
+                [1, 2, 0],
+                [2, 0, 1],
+                [2, 1, 0],
+            ] {
+                let pd = perm.map(|p| dims[p]);
+                let mut m = vec![false; n];
+                for i in 0..a {
+                    for j in 0..b {
+                        for k in 0..c {
+                            let q = perm.map(|p| [i, j, k][p]);
+                            m[(q[0] * pd[1] + q[1]) * pd[2] + q[2]] = land(j, k);
+                        }
+                    }
+                }
+                masks.push((pd.to_vec(), m));
+            }
+        }
+        masks
+    }
+
     /// Oracle sweep for the walk: escapes, symbols and buffer bits against
-    /// the frozen reference, plain and leveled, over ranks 1–4, five masks
+    /// the frozen reference, plain and leveled, over ranks 1–4, the masks
     /// (none; random with valid share 0.1, 0.5 and 0.9; all valid but
-    /// present; all invalid), both fittings and two bounds. The decoder
-    /// must reproduce the encoder's buffer bits at valid points and the
-    /// fill at masked points, bit for bit as the frozen decoder does, and a
-    /// literal stream one value short or long must be a `ReconstructError`
-    /// on every arm. Then escape placements the data never isolates — the
-    /// anchor alone, the last point alone, every point — decode on both
-    /// decoders from crafted symbol grids.
+    /// present; all invalid; and [`stretch_masks`]), both fittings and two
+    /// bounds. The decoder must reproduce the encoder's buffer bits at
+    /// valid points and the fill at masked points, bit for bit as the
+    /// frozen decoder does, and a literal stream one value short or long
+    /// must be a `ReconstructError` on every arm. Then escape placements the
+    /// data never isolates — the anchor alone, the last point alone, every
+    /// point — decode on both decoders from crafted symbol grids.
     #[test]
     fn oracle_sweep_matches_frozen_reference() {
         use crate::reference::{
@@ -1491,19 +1747,29 @@ mod tests {
         };
 
         let fill = -777.0f32;
+        // The stretch masks draw their values from a stream of their own,
+        // so the other masks see the values they always have.
         let mut state = 0xC11Du64;
-        for dims in sweep_shapes() {
-            let n: usize = dims.iter().product();
-            let mut masks: Vec<Option<Vec<bool>>> = vec![None];
+        let mut stretch_state = 0x57E7C4u64;
+        for shape in sweep_shapes() {
+            let n: usize = shape.iter().product();
+            let mut cases: Vec<(Vec<usize>, Option<Vec<bool>>, bool)> =
+                vec![(shape.clone(), None, false)];
             for share in [10u64, 50, 90] {
-                masks.push(Some(
-                    (0..n).map(|_| lcg(&mut state) % 100 < share).collect(),
-                ));
+                let m = (0..n).map(|_| lcg(&mut state) % 100 < share).collect();
+                cases.push((shape.clone(), Some(m), false));
             }
-            masks.push(Some(vec![true; n]));
-            masks.push(Some(vec![false; n]));
-            for mask in &masks {
-                let data = sweep_values(n, mask.as_deref(), &mut state);
+            cases.push((shape.clone(), Some(vec![true; n]), false));
+            cases.push((shape.clone(), Some(vec![false; n]), false));
+            let stretchy = stretch_masks(&shape).into_iter();
+            cases.extend(stretchy.map(|(dims, m)| (dims, Some(m), true)));
+            for (dims, mask, stretchy) in &cases {
+                let state = if *stretchy {
+                    &mut stretch_state
+                } else {
+                    &mut state
+                };
+                let data = sweep_values(n, mask.as_deref(), state);
                 for fitting in [Fitting::Linear, Fitting::Cubic] {
                     let params = match mask {
                         Some(m) => InterpParams::with_mask(fitting, m),
@@ -1519,11 +1785,11 @@ mod tests {
 
                         let mut buf = data.clone();
                         let mut sym = vec![0u32; n];
-                        let esc = predict_quantize(&mut buf, &dims, &params, &q, &mut sym);
+                        let esc = predict_quantize(&mut buf, dims, &params, &q, &mut sym);
                         let mut ref_buf = data.clone();
                         let mut ref_sym = vec![0u32; n];
                         let ref_esc =
-                            ref_predict_quantize(&mut ref_buf, &dims, &params, &q, &mut ref_sym);
+                            ref_predict_quantize(&mut ref_buf, dims, &params, &q, &mut ref_sym);
                         assert_eq!(esc, ref_esc, "escapes: {tag}");
                         assert_eq!(sym, ref_sym, "symbols: {tag}");
                         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1533,7 +1799,7 @@ mod tests {
                         let mut lvl_sym = vec![0u32; n];
                         let lvl_esc = predict_quantize_leveled(
                             &mut lvl_buf,
-                            &dims,
+                            dims,
                             &params,
                             &qf,
                             &mut lvl_sym,
@@ -1542,7 +1808,7 @@ mod tests {
                         let mut ref_sym = vec![0u32; n];
                         let ref_esc = ref_predict_quantize_leveled(
                             &mut ref_buf,
-                            &dims,
+                            dims,
                             &params,
                             &qf,
                             &mut ref_sym,
@@ -1571,21 +1837,21 @@ mod tests {
                         let lits = literals(&sym);
                         assert_eq!(lits.len(), esc, "literal count: {tag}");
                         let mut out = vec![0.0f32; n];
-                        reconstruct(&mut out, &dims, &params, &q, &sym, &lits, fill).unwrap();
+                        reconstruct(&mut out, dims, &params, &q, &sym, &lits, fill).unwrap();
                         check(&out, &buf, "reconstruct");
                         let mut ref_out = vec![0.0f32; n];
-                        ref_reconstruct(&mut ref_out, &dims, &params, &q, &sym, &lits, fill)
+                        ref_reconstruct(&mut ref_out, dims, &params, &q, &sym, &lits, fill)
                             .unwrap();
                         assert_eq!(bits(&out), bits(&ref_out), "ref_reconstruct: {tag}");
                         let lvl_lits = literals(&lvl_sym);
                         reconstruct_leveled(
-                            &mut out, &dims, &params, &qf, &lvl_sym, &lvl_lits, fill,
+                            &mut out, dims, &params, &qf, &lvl_sym, &lvl_lits, fill,
                         )
                         .unwrap();
                         check(&out, &lvl_buf, "reconstruct_leveled");
                         ref_reconstruct_leveled(
                             &mut ref_out,
-                            &dims,
+                            dims,
                             &params,
                             &qf,
                             &lvl_sym,
@@ -1602,7 +1868,7 @@ mod tests {
                             if bad.len() == esc {
                                 continue;
                             }
-                            let err = reconstruct(&mut out, &dims, &params, &q, &sym, bad, fill)
+                            let err = reconstruct(&mut out, dims, &params, &q, &sym, bad, fill)
                                 .unwrap_err();
                             assert_eq!(
                                 err,
@@ -1616,12 +1882,7 @@ mod tests {
                     }
                 }
                 for placement in ["anchor", "last", "every"] {
-                    escape_placement_decodes_as_frozen(
-                        &dims,
-                        mask.as_deref(),
-                        placement,
-                        &mut state,
-                    );
+                    escape_placement_decodes_as_frozen(dims, mask.as_deref(), placement, state);
                 }
             }
         }

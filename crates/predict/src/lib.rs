@@ -26,6 +26,7 @@
 pub mod fitting;
 pub mod interp;
 pub mod reference;
+pub mod stretches;
 
 pub use fitting::{cubic_coeffs, linear_coeffs, Fitting};
 pub use interp::{
@@ -35,3 +36,4 @@ pub use interp::{
 pub use reference::{
     ref_predict_quantize, ref_predict_quantize_leveled, ref_reconstruct, ref_reconstruct_leveled,
 };
+pub use stretches::Stretches;
