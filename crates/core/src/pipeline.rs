@@ -7,7 +7,9 @@
 //! Decode validates each untrusted section once per concern: the symbol
 //! count here, right after the entropy decode, and the escape count and
 //! quantizer radius in `cliz_predict::reconstruct`, whose pre-pass runs
-//! before the walk writes anything.
+//! before the walk writes anything (for an unclassified section, only what
+//! its Huffman codebook leaves open: the escapes' positions when the book
+//! holds an escape, nothing otherwise).
 
 use crate::bytesio::{ByteReader, ByteWriter};
 use crate::config::PipelineConfig;
@@ -357,9 +359,10 @@ pub fn compress_plain_alloc_baseline(
 /// checked once against the valid-point count; without a mask the decoded
 /// vector is the symbol grid itself, with one it is scattered into an arena
 /// buffer. The escape count and the quantizer radius are checked by
-/// [`reconstruct`]'s pre-pass, not here. The masked symbol grid and the
-/// literal vector are recycled through `arena` (the output grid itself is
-/// necessarily a fresh allocation — it leaves the function).
+/// [`reconstruct`]'s pre-pass, which the codebook shortens, not here. The
+/// masked symbol grid and the literal vector are recycled through `arena`
+/// (the output grid itself is necessarily a fresh allocation — it leaves
+/// the function).
 pub fn decompress_plain(
     r: &mut ByteReader,
     dims: &[usize],
@@ -446,12 +449,22 @@ pub fn decompress_plain(
     } else {
         None
     };
-    let valid_symbols: Vec<u32> = match &class {
+    // An unclassified section's symbols are its codebook's, unmoved, so
+    // `reconstruct` reads the radius check and whether to look for escapes
+    // off the book. A classified section's symbols are shifted after
+    // decoding, so its validation fold checks them.
+    let (valid_symbols, decoder) = match &class {
         Some(c) => {
             let groups = c.group_sequence(total, mask_slice);
-            multi_decode(stream, &groups).ok_or(ClizError::Corrupt("multi-huffman decode"))?
+            let symbols =
+                multi_decode(stream, &groups).ok_or(ClizError::Corrupt("multi-huffman decode"))?;
+            (symbols, None)
         }
-        None => huffman::decode_stream(stream).ok_or(ClizError::Corrupt("huffman decode"))?,
+        None => {
+            let (symbols, dec) = huffman::decode_stream_with_decoder(stream)
+                .ok_or(ClizError::Corrupt("huffman decode"))?;
+            (symbols, Some(dec))
+        }
     };
     if valid_symbols.len() != n_valid {
         return Err(ClizError::Corrupt("symbol count mismatch"));
@@ -485,12 +498,17 @@ pub fn decompress_plain(
     }
 
     // Replay the interpolation. `reconstruct` owns the symbol validation:
-    // its one pre-pass checks the escape count against the literals (so
-    // against the header's count, which sized them) and every symbol
-    // against the quantizer radius, before the walk writes anything.
+    // its one pre-pass (shortened by the codebook) checks the escape count
+    // against the literals (so against the header's count, which sized
+    // them) and every symbol against the quantizer radius, before the walk
+    // writes anything.
     let params = match (mask_slice, &stretches) {
         (Some(m), Some(st)) => InterpParams::with_stretches(fitting, m, st),
         _ => InterpParams::new(fitting),
+    };
+    let params = match &decoder {
+        Some(dec) => params.with_codebook(dec.symbols()),
+        None => params,
     };
     let quantizer = LinearQuantizer::new(eb_abs);
     let mut buf = vec![0.0f32; total];
@@ -635,12 +653,15 @@ mod tests {
     }
 
     /// A hand-built plain section: identity permutation, no fusion, linear
-    /// fitting, no escapes, and the classification flag set when `markers`
-    /// is non-empty.
-    fn crafted_section(ndim: usize, markers: &[u8], stream: &[u8]) -> Vec<u8> {
+    /// fitting, the classification flag set when `markers` is non-empty,
+    /// and one escape in the header per literal.
+    fn crafted_section(ndim: usize, markers: &[u8], stream: &[u8], literals: &[f32]) -> Vec<u8> {
         let mut payload = ByteWriter::new();
         payload.block(markers);
         payload.block(stream);
+        for &v in literals {
+            payload.f32(v);
+        }
         let packed = cliz_lossless::compress(&payload.finish());
         let mut out = ByteWriter::new();
         for p in 0..ndim {
@@ -650,7 +671,7 @@ mod tests {
         out.u8(0);
         out.u8(fitting_to_u8(Fitting::Linear));
         out.u8(u8::from(!markers.is_empty()));
-        out.u64(0);
+        out.u64(literals.len() as u64);
         out.block(&packed);
         out.finish()
     }
@@ -687,11 +708,13 @@ mod tests {
             groups: (0..24).map(|p| (p % 2) as u8).collect(),
         };
         let markers = class.marker_bytes();
-        let plain = |len: usize| crafted_section(3, &[], &huffman::encode_stream(&vec![zero; len]));
+        let plain =
+            |len: usize| crafted_section(3, &[], &huffman::encode_stream(&vec![zero; len]), &[]);
         let classified = |len: usize| {
             let mut groups = class.group_sequence(n, Some(&flags));
             groups.resize(len, 0);
-            crafted_section(3, &markers, &multi_encode(&vec![zero; len], &groups, 2))
+            let stream = multi_encode(&vec![zero; len], &groups, 2);
+            crafted_section(3, &markers, &stream, &[])
         };
 
         // The crafted sections are well formed at the right lengths.
@@ -737,8 +760,9 @@ mod tests {
             };
             for (m, len) in [(None, n), (Some(&mask), n_valid)] {
                 let stream = multi_encode(&vec![zero; len], &vec![0; len], 2);
+                let section = crafted_section(3, &bad.marker_bytes(), &stream, &[]);
                 corrupt(
-                    decode_crafted(&crafted_section(3, &bad.marker_bytes(), &stream), &dims, m),
+                    decode_crafted(&section, &dims, m),
                     "markers for another plane",
                 );
             }
@@ -747,12 +771,140 @@ mod tests {
         // One symbol beyond the default radius (max symbol 65 537).
         let mut wide = vec![zero; n];
         wide[9] = 100_000;
-        let section = crafted_section(3, &[], &huffman::encode_stream(&wide));
+        let section = crafted_section(3, &[], &huffman::encode_stream(&wide), &[]);
         let got = decode_crafted(&section, &dims, None);
         assert_eq!(
             got.unwrap_err(),
             ClizError::Corrupt("symbol exceeds quantizer radius")
         );
+    }
+
+    /// A Huffman stream of `symbols` whose codebook also holds `unused`,
+    /// symbols it never emits.
+    fn stream_with_book(symbols: &[u32], unused: &[u32]) -> Vec<u8> {
+        let top = symbols.iter().chain(unused).copied().max().unwrap_or(0);
+        let mut freqs = vec![0u64; top as usize + 1];
+        for &s in symbols.iter().chain(unused) {
+            freqs[s as usize] += 1;
+        }
+        let enc = cliz_entropy::HuffmanEncoder::from_frequencies(&freqs);
+        let mut w = cliz_entropy::BitWriter::new();
+        w.write_u32(symbols.len() as u32);
+        enc.write_table(&mut w);
+        enc.encode_all(symbols, &mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn codebook_accepts_and_rejects_what_the_fold_does() {
+        // When nothing in an unclassified section's codebook is past the
+        // radius, the book's largest symbol answers the radius check, and
+        // the escapes are looked for only when the book holds one. Its
+        // classified twin (zero shifts, the same symbols and literals)
+        // always runs the fold, so the two must agree on every case: the
+        // same grid, or the same error.
+        let dims = [4usize, 4, 6];
+        let n = 96;
+        let flags: Vec<bool> = (0..n).map(|i| i % 5 != 0).collect();
+        let n_valid = flags.iter().filter(|&&v| v).count();
+        let mask = MaskMap::from_flags(Shape::new(&dims), flags.clone());
+        let class = Classification {
+            h_len: 24,
+            shifts: vec![0; 24],
+            groups: (0..24).map(|p| (p % 2) as u8).collect(),
+        };
+        let markers = class.marker_bytes();
+        let limit = LinearQuantizer::new(1e-3).max_symbol();
+        let ok = Ok(());
+        let mismatch = Err(ClizError::Corrupt("literal/escape mismatch"));
+        let past = Err(ClizError::Corrupt("symbol exceeds quantizer radius"));
+        // (case, the symbol emitted at point 9 in place of a small bin,
+        // symbols only the codebook holds, the literals, the outcome)
+        let cases = [
+            ("in-radius book", None, vec![], vec![], &ok),
+            (
+                "largest symbol at the radius",
+                None,
+                vec![limit],
+                vec![],
+                &ok,
+            ),
+            (
+                "escape in the book, unused",
+                None,
+                vec![ESCAPE],
+                vec![],
+                &ok,
+            ),
+            (
+                "symbol past the radius in the book, unused",
+                None,
+                vec![limit + 1],
+                vec![],
+                &ok,
+            ),
+            (
+                "header escapes, none in the book",
+                None,
+                vec![],
+                vec![1.5],
+                &mismatch,
+            ),
+            (
+                "escape emitted with its literal",
+                Some(ESCAPE),
+                vec![],
+                vec![2.5],
+                &ok,
+            ),
+            (
+                "escape emitted, no literal",
+                Some(ESCAPE),
+                vec![],
+                vec![],
+                &mismatch,
+            ),
+            (
+                "escape emitted, a literal too many",
+                Some(ESCAPE),
+                vec![],
+                vec![2.5, 3.5],
+                &mismatch,
+            ),
+            (
+                "escape emitted, symbol past the radius in the book",
+                Some(ESCAPE),
+                vec![limit + 1],
+                vec![2.5],
+                &ok,
+            ),
+            (
+                "emitted symbol past the radius",
+                Some(limit + 1),
+                vec![],
+                vec![],
+                &past,
+            ),
+        ];
+        for (what, emitted, unused, literals, want) in cases {
+            for masked in [false, true] {
+                let len = if masked { n_valid } else { n };
+                let m = masked.then_some(&mask);
+                let mut symbols: Vec<u32> = (0..len as u32).map(|i| 1 + i % 7).collect();
+                if let Some(s) = emitted {
+                    symbols[9] = s;
+                }
+                let book = stream_with_book(&symbols, &unused);
+                let mut groups = class.group_sequence(n, masked.then_some(&flags[..]));
+                groups.truncate(len);
+                let grouped = multi_encode(&symbols, &groups, 2);
+                let got = decode_crafted(&crafted_section(3, &[], &book, &literals), &dims, m);
+                let twin = crafted_section(3, &markers, &grouped, &literals);
+                let case = format!("{what} (masked: {masked})");
+                assert_eq!(got, decode_crafted(&twin, &dims, m), "{case}");
+                assert_eq!(&got.map(|_| ()), want, "{case}");
+            }
+        }
     }
 
     #[test]

@@ -224,6 +224,27 @@ impl<'a> BitReader<'a> {
     pub fn bit_pos(&self) -> usize {
         self.pos * 8 - self.nbits as usize
     }
+
+    /// The whole stream, for a decoder that reads words at
+    /// [`BitReader::bit_pos`] itself and then [`BitReader::seek`]s past
+    /// what it consumed.
+    #[inline]
+    pub(crate) fn data(&self) -> &'a [u8] {
+        self.data
+    }
+
+    /// Moves the cursor to bit `bit` of the stream (at most its length in
+    /// bits), as if that many bits had been read: the next read refills
+    /// from the byte holding it.
+    #[inline]
+    pub(crate) fn seek(&mut self, bit: usize) {
+        debug_assert!(bit <= self.data.len() * 8);
+        self.pos = bit / 8;
+        self.acc = 0;
+        self.nbits = 0;
+        // In range, so the byte holding `bit` is there to step into.
+        let _ = self.read_bits(cast::low_u32(bit as u64 & 7));
+    }
 }
 
 #[cfg(test)]

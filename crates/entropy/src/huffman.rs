@@ -272,27 +272,65 @@ impl HuffmanEncoder {
     }
 }
 
-/// Primary decode-table width: codes up to this many bits resolve with one
-/// table lookup; longer codes fall back to the canonical peek-based walk.
-/// Quantization-bin streams are dominated by 1-6-bit codes, so 11 bits
-/// covers essentially every symbol.
+/// Decode-table width: one lookup resolves the complete codes at the start
+/// of an 11-bit window; a longer code falls back to the canonical
+/// peek-based walk.
 const LUT_BITS: u32 = 11;
 
-/// Symbols per packed-table entry. Quantization-bin streams concentrate on
-/// 1-3-bit codes, so one 11-bit window routinely holds 4 complete codes —
-/// one lookup then emits 4 symbols and advances once.
-const PACK_SYMS: usize = 4;
+/// Symbols per table entry. Quantization bins average about 4 bits per
+/// symbol (scan's streams: 3.95, mostly 3–5-bit codes), so an 11-bit
+/// window holds two or three complete codes.
+const ENTRY_SYMS: u32 = 3;
 
-/// One multi-symbol decode-table entry: the complete codes found at the
-/// start of an 11-bit window, in order.
-#[derive(Clone, Copy, Debug, Default)]
-struct Pack {
-    /// Decoded symbols (first `count` are valid).
-    syms: [u32; PACK_SYMS],
-    /// `ends[i]` = cumulative bits consumed through `syms[i]`.
-    ends: [u8; PACK_SYMS],
-    /// Number of complete symbols in the window; 0 = fall back.
-    count: u8,
+/// Where a table entry keeps its count and its ends. One `u64` per window:
+/// symbol `k` (a `u16`) in bits `16k..16k + 16`, the count of complete
+/// codes in bits `COUNT_SHIFT..+2`, and the window offset just past code
+/// `k` in bits `END_SHIFT + 4k..+4` — 62 bits in all. The last end sits in
+/// the top bits, so the stream loop's advance is one shift.
+const COUNT_SHIFT: u32 = 48;
+const END_SHIFT: u32 = 52;
+
+/// Table lookups the stream loop makes from one 64-bit load: a load at a
+/// byte boundary shifted by the bit offset holds ≥ 57 real bits, and four
+/// windows take at most 3 × 11 + 11 = 44 of them.
+const WORD_LOOKUPS: usize = 4;
+
+/// Output slots one load may write: every lookup stores all
+/// [`ENTRY_SYMS`] lanes, used or not.
+const WORD_SLOTS: usize = WORD_LOOKUPS * ENTRY_SYMS as usize;
+
+/// Complete codes in a table entry; 0 sends the window to
+/// [`HuffmanDecoder::decode_symbol`]'s walk.
+#[inline]
+fn entry_count(e: u64) -> u32 {
+    cast::low_u32(e >> COUNT_SHIFT) & 3
+}
+
+/// Symbol `k` of a table entry.
+#[inline]
+fn entry_symbol(e: u64, k: u32) -> u32 {
+    cast::low_u32(e >> (16 * k)) & 0xFFFF
+}
+
+/// Window offset just past code `k` of a table entry. Ends past the last
+/// code repeat its end, so end `ENTRY_SYMS − 1` is the entry's advance. In
+/// an entry with no complete code, end 0 is the code length the walk
+/// starts at.
+#[inline]
+fn entry_end(e: u64, k: u32) -> u32 {
+    cast::low_u32(e >> (END_SHIFT + 4 * k)) & 0xF
+}
+
+/// Packs the complete codes of one window, `(symbol, end)` in order, into
+/// a table entry (at most [`ENTRY_SYMS`]).
+fn pack_entry(codes: &[(u16, u32)]) -> u64 {
+    let last = codes.last().map_or(0, |c| c.1);
+    let mut e = (codes.len() as u64) << COUNT_SHIFT;
+    for k in 0..ENTRY_SYMS {
+        let (symbol, end) = codes.get(k as usize).copied().unwrap_or((0, last));
+        e |= u64::from(symbol) << (16 * k) | u64::from(end) << (END_SHIFT + 4 * k);
+    }
+    e
 }
 
 /// Canonical Huffman decoder, reconstructed from a serialized table.
@@ -307,10 +345,12 @@ pub struct HuffmanDecoder {
     /// `count[l]` = number of length-`l` symbols.
     count: Vec<u32>,
     max_len: u32,
-    /// Primary lookup: prefix → (symbol, code length); length 0 = fall back.
-    lut: Vec<(u32, u8)>,
-    /// Multi-symbol lookup: prefix → up to [`PACK_SYMS`] symbols + advance.
-    pack: Vec<Pack>,
+    /// One entry per [`LUT_BITS`]-bit window: the complete codes at its
+    /// start, up to [`ENTRY_SYMS`] (see [`COUNT_SHIFT`] for the layout). A
+    /// window whose first code is longer than the window, or whose
+    /// symbol does not fit a `u16`, holds none. A fixed-size array, so a
+    /// window index needs no bounds check.
+    table: Box<[u64; 1 << LUT_BITS]>,
 }
 
 impl HuffmanDecoder {
@@ -386,9 +426,12 @@ impl HuffmanDecoder {
             first_index[l] = index;
             index += count[l];
         }
-        // Primary LUT: every code of length ≤ LUT_BITS owns the block of
-        // prefixes that start with it.
-        let mut lut = vec![(0u32, 0u8); 1 << LUT_BITS];
+        // First pass: every code of length ≤ LUT_BITS owns the block of
+        // windows that start with it, as a one-code entry. A symbol past
+        // u16 gets an empty entry whose walk starts at its own length;
+        // windows no short code starts get one whose walk starts past the
+        // table.
+        let mut table = Box::new([u64::from(LUT_BITS + 1) << END_SHIFT; 1 << LUT_BITS]);
         {
             let mut code = 0u64;
             let mut prev_len = 0u32;
@@ -397,32 +440,41 @@ impl HuffmanDecoder {
                 code <<= len - prev_len;
                 prev_len = len;
                 if len <= LUT_BITS {
+                    let entry = match cast::to_u16_checked(s) {
+                        Some(s) => pack_entry(&[(s, len)]),
+                        None => u64::from(len) << END_SHIFT,
+                    };
                     let base = (code << (LUT_BITS - len)) as usize;
-                    for slot in &mut lut[base..base + (1usize << (LUT_BITS - len))] {
-                        *slot = (s, cast::low_u8(len));
-                    }
+                    table[base..base + (1usize << (LUT_BITS - len))].fill(entry);
                 }
                 code += 1;
             }
         }
-        // Multi-symbol packed table: for every 11-bit window, greedily
-        // resolve complete codes through the single-symbol LUT. A code is
-        // accepted only when it fits entirely inside the window's remaining
-        // bits, so every packed symbol comes from real (never padded) input.
-        let mut pack = vec![Pack::default(); 1 << LUT_BITS];
-        for (p, entry) in pack.iter_mut().enumerate() {
-            let mut pos = 0u32;
-            while (entry.count as usize) < PACK_SYMS {
-                let sub = (p << pos) & ((1usize << LUT_BITS) - 1);
-                let (sym, len) = lut[sub];
-                if len == 0 || u32::from(len) > LUT_BITS - pos {
+        // Second pass: extend each entry greedily with the codes that
+        // follow its first one. The code after offset `end` is the first
+        // code of the window `p << end`, whose first code the second pass
+        // never changes; it is taken only when it lies entirely inside the
+        // window's real bits, so every packed symbol comes from real (never
+        // padded) input.
+        for p in 0..table.len() {
+            let mut next = table[p];
+            if entry_count(next) == 0 {
+                continue;
+            }
+            let mut codes = [(0u16, 0u32); ENTRY_SYMS as usize];
+            let mut n = 0;
+            let mut end = 0;
+            while n < codes.len() && entry_count(next) != 0 {
+                let len = entry_end(next, 0);
+                if len > LUT_BITS - end {
                     break;
                 }
-                entry.syms[entry.count as usize] = sym;
-                pos += u32::from(len);
-                entry.ends[entry.count as usize] = cast::low_u8(pos);
-                entry.count += 1;
+                end += len;
+                codes[n] = (cast::low_u16(entry_symbol(next, 0)), end);
+                n += 1;
+                next = table[(p << end) & ((1 << LUT_BITS) - 1)];
             }
+            table[p] = pack_entry(&codes[..n]);
         }
         Some(Self {
             sorted_symbols: order,
@@ -430,9 +482,14 @@ impl HuffmanDecoder {
             first_index,
             count,
             max_len,
-            lut,
-            pack,
+            table,
         })
+    }
+
+    /// Every symbol this decoder can emit, in canonical order: the
+    /// codebook. No decoded stream holds a symbol outside it.
+    pub fn symbols(&self) -> &[u32] {
+        &self.sorted_symbols
     }
 
     /// Decodes one symbol; `None` on truncated or corrupt input.
@@ -441,18 +498,20 @@ impl HuffmanDecoder {
         // Fast path: one table lookup resolves codes ≤ LUT_BITS. The peek
         // zero-pads past end-of-stream; skip_bits rejects over-reads, so a
         // fabricated match on padding still errors out correctly.
-        let (symbol, len) = self.lut[r.peek_bits(LUT_BITS) as usize];
-        if len != 0 {
-            r.skip_bits(u32::from(len))?;
-            return Some(symbol);
+        let e = self.table[r.peek_bits(LUT_BITS) as usize];
+        let len = entry_end(e, 0);
+        if entry_count(e) != 0 {
+            r.skip_bits(len)?;
+            return Some(entry_symbol(e, 0));
         }
         // Slow path: peek the whole max-length window once and walk the
         // per-length first-code tables without touching the stream, then
-        // consume exactly the matched length. Codes ≤ LUT_BITS always hit
-        // the LUT, so the walk starts past it. A match fabricated from
+        // consume exactly the matched length. The entry says where the walk
+        // starts: past the table, or at the length of a short code whose
+        // symbol the table cannot hold. A match fabricated from
         // zero-padding fails in skip_bits, exactly like the fast path.
         let window = r.peek_bits(self.max_len);
-        for l in (LUT_BITS + 1)..=self.max_len {
+        for l in len..=self.max_len {
             let code = window >> (self.max_len - l);
             let delta = code.wrapping_sub(self.first_code[l as usize]);
             if delta < self.count[l as usize] {
@@ -468,33 +527,59 @@ impl HuffmanDecoder {
     /// exceed the bits left in the stream — lying counts are rejected up
     /// front, which also bounds the output allocation at 32× the input.
     ///
-    /// Hot loop: one packed-table lookup emits up to [`PACK_SYMS`] symbols
-    /// with a single unconditional [`PACK_SYMS`]-lane store (no per-entry
-    /// length branch — lanes past `count` are rewritten by the next
-    /// iteration, which is why the loop keeps a full entry of slack below
-    /// `n`). The packed path runs only while all [`LUT_BITS`] peeked bits
-    /// are real (no end-of-stream padding), so the consumed bit count is
-    /// identical to symbol-at-a-time decoding — pinned by the differential
-    /// tests against [`crate::reference`].
+    /// Hot loop: while 8 input bytes and [`WORD_SLOTS`] output slots
+    /// remain, one big-endian `u64` load at the cursor feeds up to
+    /// [`WORD_LOOKUPS`] table lookups, each storing all [`ENTRY_SYMS`]
+    /// lanes unconditionally (lanes past the entry's count are rewritten by
+    /// the next lookup, which is why the loop keeps a full load of slack
+    /// below `n`) and advancing by the entry's last end. Every bit it
+    /// reads is real input, so it consumes exactly the complete codes
+    /// symbol-at-a-time decoding would. A window with no complete code in
+    /// the table, the last bytes and the tail go through
+    /// [`HuffmanDecoder::decode_symbol`], so the bits consumed and every
+    /// `None` match the frozen decoder in [`crate::reference`] — pinned by
+    /// the differential tests.
     pub fn decode_all(&self, r: &mut BitReader, n: usize) -> Option<Vec<u32>> {
         if n > r.bits_remaining() {
             return None;
         }
         let mut out = vec![0u32; n];
         let mut pos = 0usize;
-        while pos + PACK_SYMS <= n && r.bits_remaining() >= LUT_BITS as usize {
-            let e = &self.pack[r.peek_bits(LUT_BITS) as usize];
-            if e.count == 0 {
-                // Long code (or corrupt prefix): resolve one symbol and
-                // re-enter the packed loop.
+        let data = r.data();
+        let mut bit = r.bit_pos();
+        while pos + WORD_SLOTS <= n {
+            let Some(word) = data.get(bit / 8..).and_then(<[u8]>::first_chunk::<8>) else {
+                break;
+            };
+            let mut window = u64::from_be_bytes(*word) << (bit % 8);
+            let mut used = 0u32;
+            let mut stalled = false;
+            for _ in 0..WORD_LOOKUPS {
+                let e = self.table[(window >> (64 - LUT_BITS)) as usize];
+                let count = entry_count(e);
+                if count == 0 {
+                    stalled = true;
+                    break;
+                }
+                out[pos] = entry_symbol(e, 0);
+                out[pos + 1] = entry_symbol(e, 1);
+                out[pos + 2] = entry_symbol(e, 2);
+                pos += count as usize;
+                let advance = entry_end(e, ENTRY_SYMS - 1);
+                window <<= advance;
+                used += advance;
+            }
+            bit += used as usize;
+            if stalled {
+                // A long code (or a corrupt prefix): one symbol through
+                // the walk, then back to the word loop.
+                r.seek(bit);
                 out[pos] = self.decode_symbol(r)?;
                 pos += 1;
-                continue;
+                bit = r.bit_pos();
             }
-            out[pos..pos + PACK_SYMS].copy_from_slice(&e.syms);
-            pos += e.count as usize;
-            r.skip_bits(u32::from(e.ends[e.count as usize - 1]))?;
         }
+        r.seek(bit);
         while pos < n {
             out[pos] = self.decode_symbol(r)?;
             pos += 1;
@@ -506,8 +591,8 @@ impl HuffmanDecoder {
     /// `< stop` (so `stop` must be ≤ 256); returns the first symbol ≥
     /// `stop`, which is also consumed. `None` on truncated/corrupt input.
     ///
-    /// This is the deflate-style literal-run hot path: packed entries emit
-    /// several literal bytes per table lookup, and the in-entry scan stops
+    /// This is the deflate-style literal-run hot path: table entries emit
+    /// several literal bytes per lookup, and the in-entry scan stops
     /// exactly at the first non-literal so length/distance extra bits that
     /// follow it stay aligned.
     pub fn decode_literal_run(
@@ -519,19 +604,19 @@ impl HuffmanDecoder {
         debug_assert!(stop <= 256);
         loop {
             if r.bits_remaining() >= LUT_BITS as usize {
-                let e = &self.pack[r.peek_bits(LUT_BITS) as usize];
-                if e.count > 0 {
-                    let mut take = 0usize;
-                    while take < e.count as usize && e.syms[take] < stop {
-                        out.push(cast::low_u8(e.syms[take]));
-                        take += 1;
+                let e = self.table[r.peek_bits(LUT_BITS) as usize];
+                let count = entry_count(e);
+                if count > 0 {
+                    for k in 0..count {
+                        let sym = entry_symbol(e, k);
+                        if sym >= stop {
+                            // Non-literal inside the entry: consume through it.
+                            r.skip_bits(entry_end(e, k))?;
+                            return Some(sym);
+                        }
+                        out.push(cast::low_u8(sym));
                     }
-                    if take < e.count as usize {
-                        // Non-literal inside the entry: consume through it.
-                        r.skip_bits(u32::from(e.ends[take]))?;
-                        return Some(e.syms[take]);
-                    }
-                    r.skip_bits(u32::from(e.ends[e.count as usize - 1]))?;
+                    r.skip_bits(entry_end(e, ENTRY_SYMS - 1))?;
                     continue;
                 }
             }
@@ -556,10 +641,17 @@ pub fn encode_stream(symbols: &[u32]) -> Vec<u8> {
 
 /// Inverse of [`encode_stream`].
 pub fn decode_stream(bytes: &[u8]) -> Option<Vec<u32>> {
+    decode_stream_with_decoder(bytes).map(|(symbols, _)| symbols)
+}
+
+/// [`decode_stream`] that also hands back the stream's decoder, whose
+/// codebook ([`HuffmanDecoder::symbols`]) holds every decoded symbol.
+pub fn decode_stream_with_decoder(bytes: &[u8]) -> Option<(Vec<u32>, HuffmanDecoder)> {
     let mut r = BitReader::new(bytes);
     let n = r.read_u32()? as usize;
     let dec = HuffmanDecoder::read_table(&mut r)?;
-    dec.decode_all(&mut r, n)
+    let symbols = dec.decode_all(&mut r, n)?;
+    Some((symbols, dec))
 }
 
 #[cfg(test)]
@@ -694,7 +786,8 @@ mod tests {
 
     /// A geometric symbol distribution plus a handful of once-only symbols
     /// forces code lengths past LUT_BITS, so long streams exercise the
-    /// packed loop, the single-symbol LUT, *and* the peek-based slow path.
+    /// word loop, `decode_symbol`'s one-lookup path, *and* the peek-based
+    /// slow path.
     fn deep_tree_symbols() -> Vec<u32> {
         let mut out = Vec::new();
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -778,7 +871,7 @@ mod tests {
         let bytes = encode_stream(&symbols);
         for cut in [bytes.len() - 1, bytes.len() - 7, bytes.len() / 2] {
             // Truncation must never silently reproduce the original stream;
-            // and the packed path must agree with the frozen reference even
+            // and the word loop must agree with the frozen reference even
             // on damaged input.
             let got = decode_stream(&bytes[..cut]);
             assert_ne!(got.as_deref(), Some(&symbols[..]), "cut at {cut}");

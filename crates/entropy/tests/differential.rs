@@ -1,17 +1,19 @@
 //! Differential tests pinning the rewritten entropy kernels against the
 //! frozen pre-rewrite references in `cliz_entropy::reference`.
 //!
-//! The word-at-a-time `BitWriter`/`BitReader` and the packed multi-symbol
-//! Huffman decoder are *rewrites*, not re-specifications: they must produce
-//! bit-identical streams and decode bit-identical symbols. Every case here
-//! checks all four directions (new→new, ref→ref, new→ref, ref→new) so a
-//! compensating pair of bugs can't hide.
+//! The word-at-a-time `BitWriter`/`BitReader` and the table-driven
+//! multi-symbol Huffman decoder are *rewrites*, not re-specifications: they
+//! must produce bit-identical streams and decode bit-identical symbols.
+//! Every case here checks all four directions (new→new, ref→ref, new→ref,
+//! ref→new) so a compensating pair of bugs can't hide. The decoder's
+//! stream loop is also held to the frozen decoder's bit position after the
+//! symbols it decodes, and to its every `None`.
 
 use cliz_entropy::huffman::{decode_stream, encode_stream};
 use cliz_entropy::reference::{
-    ref_decode_stream, ref_encode_stream, RefBitReader, RefBitWriter,
+    ref_decode_stream, ref_encode_stream, RefBitReader, RefBitWriter, RefHuffmanDecoder,
 };
-use cliz_entropy::{BitReader, BitWriter};
+use cliz_entropy::{BitReader, BitWriter, HuffmanDecoder, HuffmanEncoder};
 
 /// Deterministic 64-bit LCG (same constants as the bench harness).
 struct Lcg(u64);
@@ -264,4 +266,198 @@ fn decoder_rejects_truncated_and_oversized_counts_like_reference() {
     lying[..4].copy_from_slice(&[0xFF; 4]);
     assert_eq!(decode_stream(&lying), None);
     assert_eq!(ref_decode_stream(&lying), None);
+}
+
+/// A table-first stream, laid out as zlite frames and group streams lay
+/// theirs out: `symbols`' code-length table, their codes, then the
+/// `(value, len)` sentinel fields.
+fn table_stream(symbols: &[u32], sentinel: &[(u32, u32)]) -> Vec<u8> {
+    let enc = HuffmanEncoder::from_symbols(symbols);
+    let mut w = BitWriter::new();
+    enc.write_table(&mut w);
+    enc.encode_all(symbols, &mut w);
+    for &(v, len) in sentinel {
+        w.write_bits(v, len);
+    }
+    w.finish()
+}
+
+/// Decodes the table and then `n` symbols of a [`table_stream`] with the
+/// rewritten decoder: the symbols and the bit position after them, or
+/// `None`.
+fn decode_new(bytes: &[u8], n: usize) -> Option<(Vec<u32>, usize)> {
+    let mut r = BitReader::new(bytes);
+    let symbols = HuffmanDecoder::read_table(&mut r)?.decode_all(&mut r, n)?;
+    Some((symbols, r.bit_pos()))
+}
+
+/// [`decode_new`] through the frozen decoder.
+fn decode_ref(bytes: &[u8], n: usize) -> Option<(Vec<u32>, usize)> {
+    let mut r = RefBitReader::new(bytes);
+    let symbols = RefHuffmanDecoder::read_table(&mut r)?.decode_all(&mut r, n)?;
+    Some((symbols, r.bit_pos()))
+}
+
+/// Both decoders agree on the first `n` symbols of `bytes`: the same
+/// symbols and end position, or both `None`.
+fn assert_decoders_agree(bytes: &[u8], n: usize, what: &str) {
+    assert_eq!(decode_new(bytes, n), decode_ref(bytes, n), "{what}, n {n}");
+}
+
+/// The sentinel every sentinel-carrying stream below ends with: 67 bits,
+/// so that after the payload 8 more bytes always remain to load.
+const SENTINEL: [(u32, u32); 3] = [(0x2A5, 10), (0xDEAD_BEEF, 32), (0x1AB_CDEF, 25)];
+
+/// Decodes all of `symbols` from their [`table_stream`] with
+/// [`SENTINEL`] after them, checks the symbols and the end position
+/// against the frozen decoder, and reads the sentinel back.
+fn assert_sentinel_follows(symbols: &[u32], what: &str) {
+    let bytes = table_stream(symbols, &SENTINEL);
+    let (got, end) = decode_new(&bytes, symbols.len()).expect(what);
+    assert_eq!(got, symbols, "{what}");
+    let want = Some((got, end));
+    assert_eq!(decode_ref(&bytes, symbols.len()), want, "{what}");
+    // Skip to the end of the payload, then read the sentinel field by field.
+    let mut rest = BitReader::new(&bytes);
+    let mut left = end;
+    while left > 0 {
+        let step = left.min(32);
+        let step32 = u32::try_from(step).expect("step fits");
+        rest.read_bits(step32).expect(what);
+        left -= step;
+    }
+    for &(v, len) in &SENTINEL {
+        assert_eq!(rest.read_bits(len), Some(v), "{what}: sentinel");
+    }
+}
+
+/// Shuffles `symbols` deterministically, so rare codes land mid-stream.
+fn shuffled(mut symbols: Vec<u32>, seed: u64) -> Vec<u32> {
+    let mut rng = Lcg(seed);
+    for i in (1..symbols.len()).rev() {
+        symbols.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    symbols
+}
+
+/// Codes of 12–20 bits: symbol `k` appears about `2^(20 − k)` times, and
+/// the rarest few take codes longer than the 11-bit window.
+fn long_code_symbols(seed: u64) -> Vec<u32> {
+    let mut symbols = Vec::new();
+    for k in 0..20u32 {
+        symbols.extend(std::iter::repeat_n(k, 1usize << (20 - k).min(10)));
+    }
+    symbols.extend(20..40u32);
+    shuffled(symbols, seed)
+}
+
+/// Short codes for symbols past `u16::MAX`: `65_536` and `70_000` are
+/// the two commonest symbols, next to `u16::MAX` itself (the largest
+/// symbol a table entry holds) and small bins.
+fn wide_symbols(seed: u64) -> Vec<u32> {
+    let mut symbols = Vec::new();
+    let counts = [
+        (65_536u32, 400usize),
+        (70_000, 300),
+        (65_535, 200),
+        (1, 150),
+        (2, 60),
+    ];
+    for (s, reps) in counts {
+        symbols.extend(std::iter::repeat_n(s, reps));
+    }
+    shuffled(symbols, seed)
+}
+
+#[test]
+fn codes_longer_than_the_window_match_reference() {
+    for seed in 1..=4u64 {
+        let symbols = long_code_symbols(seed);
+        let enc = HuffmanEncoder::from_symbols(&symbols);
+        let longest = (0..40).map(|s| enc.code_len(s)).max();
+        assert!(longest > Some(11), "no code past the window");
+        assert_stream_identity(&symbols);
+        assert_sentinel_follows(&symbols, "long codes");
+    }
+}
+
+#[test]
+fn short_codes_for_symbols_past_u16_match_reference() {
+    for seed in 1..=4u64 {
+        let symbols = wide_symbols(seed);
+        let enc = HuffmanEncoder::from_symbols(&symbols);
+        assert!(enc.code_len(65_536) <= 3 && enc.code_len(70_000) <= 3);
+        assert_stream_identity(&symbols);
+        assert_sentinel_follows(&symbols, "wide symbols");
+        // Every prefix: the wide symbols fall at every slot of a window.
+        let bytes = table_stream(&symbols, &SENTINEL);
+        for n in 0..=64 {
+            assert_decoders_agree(&bytes, n, "wide symbols");
+        }
+    }
+}
+
+#[test]
+fn stream_loop_ending_at_its_slot_limit_matches_reference() {
+    // A long payload decoded only `n` symbols deep: 8 bytes always remain
+    // past the cursor, so the word loop ends where fewer than 12 output
+    // slots are left, at every offset, and the tail decodes the rest.
+    let streams = [
+        geometric(5, 4096),
+        uniform(5, 4096, 2),
+        uniform(6, 4096, 5),
+        long_code_symbols(5),
+        wide_symbols(5),
+    ];
+    for symbols in &streams {
+        let bytes = table_stream(symbols, &SENTINEL);
+        for n in (0..=80).chain([1000, 1001, 1002, symbols.len()]) {
+            assert_decoders_agree(&bytes, n, "slot limit");
+        }
+    }
+}
+
+#[test]
+fn stream_loop_ending_at_its_byte_limit_matches_reference() {
+    // 1-bit and 2-bit codes, decoded to the end of a stream with nothing
+    // after it: 8 bytes hold 32 or more symbols, so the word loop runs out
+    // of bytes while slots remain, at every bit offset of the last bytes.
+    for len in 0..=300usize {
+        for symbols in [uniform(len as u64, len, 2), uniform(len as u64, len, 4)] {
+            let bytes = table_stream(&symbols, &[]);
+            assert_decoders_agree(&bytes, symbols.len(), "byte limit");
+            let got = decode_new(&bytes, symbols.len()).map(|d| d.0);
+            assert_eq!(got, Some(symbols));
+        }
+    }
+    // Long codes in the last bytes, too.
+    let mut symbols = uniform(9, 2000, 2);
+    symbols.extend(long_code_symbols(9).iter().filter(|&&s| s >= 30));
+    assert_decoders_agree(&table_stream(&symbols, &[]), symbols.len(), "long tail");
+}
+
+#[test]
+fn truncation_at_each_of_the_last_16_bytes_matches_reference() {
+    let streams = [
+        geometric(11, 3000),
+        uniform(11, 3000, 2),
+        long_code_symbols(11),
+        wide_symbols(11),
+    ];
+    for symbols in &streams {
+        let bytes = encode_stream(symbols);
+        let table_first = table_stream(symbols, &[]);
+        for back in 1..=16usize {
+            let cut = bytes.len().saturating_sub(back);
+            assert_eq!(
+                decode_stream(&bytes[..cut]),
+                ref_decode_stream(&bytes[..cut]),
+                "cut {back} from the end"
+            );
+            let cut = table_first.len().saturating_sub(back);
+            let got = decode_new(&table_first[..cut], symbols.len());
+            assert!(got.is_none(), "cut {back} from the end decoded");
+            assert_eq!(got, decode_ref(&table_first[..cut], symbols.len()));
+        }
+    }
 }

@@ -336,3 +336,35 @@ fn adaptive_compress_literal_frames_are_the_reference_literal_encoding() {
         assert_adaptive_choice(&runs(7, n));
     }
 }
+
+#[test]
+fn coded_frames_with_short_literal_codes_match_reference() {
+    // Literals with 1–3-bit codes between matches: a Huffman table entry
+    // holds up to three literals, so the length code that ends a literal
+    // run falls at every slot of one. Every frame is coded (smaller than
+    // its payload), and both decoders must agree on it and on each of its
+    // last 16 truncations.
+    for bits in 1..=3u32 {
+        for seed in 1..=3u64 {
+            let mut payload = skewed(seed, 6_000, bits);
+            for k in 0..40u64 {
+                let at = (k as usize * 149) % 5_000;
+                let piece = payload[at..at + 24].to_vec();
+                payload.extend(piece);
+                payload.extend(skewed(seed + k, 37, bits));
+            }
+            let frame = compress_lz(&payload);
+            assert!(frame.len() < payload.len(), "bits {bits}: frame not coded");
+            assert_eq!(decompress(&frame).as_deref(), Ok(&payload[..]));
+            assert_eq!(ref_decompress(&frame).as_deref(), Ok(&payload[..]));
+            for back in 1..=16 {
+                let cut = &frame[..frame.len() - back];
+                let (new_r, ref_r) = (decompress(cut), ref_decompress(cut));
+                assert_eq!(new_r.is_err(), ref_r.is_err(), "bits {bits}, cut {back}");
+                if let (Ok(a), Ok(b)) = (&new_r, &ref_r) {
+                    assert_eq!(a, b, "bits {bits}, cut {back}");
+                }
+            }
+        }
+    }
+}

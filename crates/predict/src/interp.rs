@@ -65,10 +65,16 @@
 //! quantizer radius) and the raster position of every escape (their count
 //! against the literal stream) before the walk writes anything, so
 //! `recover` only ever sees in-radius bins and callers need no scan of
-//! their own. When the walk meets an escape it finds the literal by binary
-//! search over those positions. [`reconstruct_leveled`] checks against the
-//! smallest radius over the walk's levels, which is exact when every level
-//! shares one radius, as every encoder here does.
+//! their own. A run that meets an escape recovers it as bin 0 with the
+//! rest, branch-free, then writes the literals of its escapes, found by
+//! binary search over those positions. [`reconstruct_leveled`] checks
+//! against the smallest radius over the walk's levels, which is exact when
+//! every level shares one radius, as every encoder here does. A caller
+//! whose symbols came straight from a Huffman codebook says so with
+//! [`InterpParams::with_codebook`]: when nothing in the book is past the
+//! radius, the book's largest symbol answers the radius check, and the
+//! pre-pass shrinks to a branch-free escape count per block when the book
+//! holds [`ESCAPE`] and to nothing when it does not.
 
 use crate::fitting::{cubic_coeffs, linear_coeffs, Fitting};
 use crate::stretches::Stretches;
@@ -84,6 +90,9 @@ pub struct InterpParams<'a> {
     /// `mask` in run-length form, rows along the trailing dimension, when
     /// the caller has built it; the walk builds it from `mask` otherwise.
     stretches: Option<&'a Stretches>,
+    /// The caller's word on the symbols it decodes with these parameters:
+    /// every one is in this codebook. `None` when unchecked.
+    codebook: Option<&'a [u32]>,
 }
 
 impl<'a> InterpParams<'a> {
@@ -92,6 +101,7 @@ impl<'a> InterpParams<'a> {
             fitting,
             mask: None,
             stretches: None,
+            codebook: None,
         }
     }
 
@@ -100,6 +110,7 @@ impl<'a> InterpParams<'a> {
             fitting,
             mask: Some(mask),
             stretches: None,
+            codebook: None,
         }
     }
 
@@ -110,6 +121,23 @@ impl<'a> InterpParams<'a> {
             fitting,
             mask: Some(mask),
             stretches: Some(stretches),
+            codebook: None,
+        }
+    }
+
+    /// These parameters with the caller's word that every valid point's
+    /// symbol is in `book`: what a Huffman codebook proves of every symbol
+    /// it decodes. When no symbol of `book` is past the quantizer radius,
+    /// [`reconstruct`] takes the book's largest as the largest symbol and
+    /// replaces its validation fold with a count of escapes, or with
+    /// nothing when `book` holds no [`ESCAPE`]; otherwise the fold runs as
+    /// without the word, so the same streams are accepted and rejected
+    /// either way. The caller must keep its word: a symbol outside `book`
+    /// goes unchecked.
+    pub fn with_codebook(self, book: &'a [u32]) -> Self {
+        Self {
+            codebook: Some(book),
+            ..self
         }
     }
 
@@ -322,16 +350,29 @@ fn decode(
 
     // Validate both streams before writing anything: the container may
     // disagree with its own symbol grid, and `recover` takes in-radius bins
-    // as an invariant.
+    // as an invariant. A caller's codebook within the radius answers the
+    // radius check without the fold; the escapes are then only counted, and
+    // only when the book holds one.
+    let radius = level_strides(dims).fold(i32::MAX, |r, s| r.min(levels(s).radius()));
     let mut at = Vec::new();
-    let largest = scan_symbols(symbols, stretches.as_deref(), &mut at);
+    let book = params
+        .codebook
+        .map(|b| (b, b.iter().copied().max().unwrap_or(0)));
+    let largest = match book {
+        Some((b, top)) if top <= bin_to_symbol(radius) => {
+            if b.contains(&ESCAPE) {
+                find_escapes(symbols, stretches.as_deref(), &mut at);
+            }
+            top
+        }
+        _ => scan_symbols(symbols, stretches.as_deref(), &mut at),
+    };
     if literals.len() != at.len() {
         return Err(ReconstructError::LiteralCount {
             expected_literals: at.len(),
             got_literals: literals.len(),
         });
     }
-    let radius = level_strides(dims).fold(i32::MAX, |r, s| r.min(levels(s).radius()));
     if largest > bin_to_symbol(radius) {
         return Err(ReconstructError::OutOfRadius {
             symbol: largest,
@@ -355,21 +396,44 @@ fn decode(
     Ok(())
 }
 
-/// The decoder's one pass over the symbols of the valid points, stretch by
-/// stretch (the whole grid when unmasked; a masked point's symbol is never
-/// read): returns the largest symbol, and pushes the raster position of
-/// every escape onto `escapes` in ascending order. Each block folds its
-/// escape count and maximum branch-free; only a block that holds an escape
-/// is read again for the positions.
+/// The decoder's one pass over the symbols of the valid points: returns
+/// the largest symbol, and pushes the raster position of every escape onto
+/// `escapes` in ascending order ([`escape_blocks`]).
 fn scan_symbols(symbols: &[u32], mask: Option<&Stretches>, escapes: &mut Vec<usize>) -> u32 {
-    const BLOCK: usize = 256;
     let tally = |(n, largest): (usize, u32), s: u32| (n + usize::from(s == ESCAPE), largest.max(s));
     let mut largest = 0u32;
+    escape_blocks(symbols, mask, escapes, |block| {
+        let (n, top) = block.iter().copied().fold((0, 0), tally);
+        largest = largest.max(top);
+        n > 0
+    });
+    largest
+}
+
+/// [`scan_symbols`] for symbols whose largest is already known: the escape
+/// positions alone. An escape count with no maximum vectorises on the
+/// baseline x86-64 target, which has no packed `u32` max.
+fn find_escapes(symbols: &[u32], mask: Option<&Stretches>, escapes: &mut Vec<usize>) {
+    escape_blocks(symbols, mask, escapes, |block| {
+        block.iter().fold(0u32, |n, &s| n + u32::from(s == ESCAPE)) > 0
+    });
+}
+
+/// Reads the symbols of the valid points, stretch by stretch (the whole
+/// grid when unmasked; a masked point's symbol is never read), in blocks
+/// that `holds_escape` folds branch-free; only a block it says holds an
+/// escape is read again, and the raster position of each of its escapes
+/// is pushed onto `escapes` in ascending order.
+fn escape_blocks(
+    symbols: &[u32],
+    mask: Option<&Stretches>,
+    escapes: &mut Vec<usize>,
+    mut holds_escape: impl FnMut(&[u32]) -> bool,
+) {
+    const BLOCK: usize = 256;
     let mut fold = |from: usize, run: &[u32]| {
         for (b, block) in run.chunks(BLOCK).enumerate() {
-            let (n, top) = block.iter().copied().fold((0, 0), tally);
-            largest = largest.max(top);
-            if n > 0 {
+            if holds_escape(block) {
                 let hits = block.iter().enumerate().filter(|&(_, &s)| s == ESCAPE);
                 escapes.extend(hits.map(|(k, _)| from + b * BLOCK + k));
             }
@@ -383,7 +447,6 @@ fn scan_symbols(symbols: &[u32], mask: Option<&Stretches>, escapes: &mut Vec<usi
             }
         }
     }
-    largest
 }
 
 /// The walk's first level stride: the largest power of two strictly below
@@ -501,12 +564,19 @@ struct Escapes<'a> {
 }
 
 impl Escapes<'_> {
-    /// The literal of the escape at raster index `idx`. The walk asks only
-    /// at escapes, and the validation pass matched the two lengths, so the
-    /// fallback is never taken.
-    fn literal(&self, idx: usize) -> f32 {
-        let k = self.at.binary_search(&idx).ok();
-        k.and_then(|k| self.literals.get(k)).copied().unwrap_or(0.0)
+    /// Writes its literal over every escape among a run's targets: `tgt[0]`
+    /// at raster index `start`, the others every `step` elements. An escape
+    /// between them is another pass's target. The validation pass matched
+    /// the two lengths, so the literals always reach.
+    fn write_literals(&self, tgt: &mut [f32], start: usize, step: usize) {
+        let from = self.at.partition_point(|&p| p < start);
+        let to = self.at.partition_point(|&p| p < start + tgt.len());
+        let literals = self.literals.get(from..to).unwrap_or_default();
+        for (&p, &v) in self.at[from..to].iter().zip(literals) {
+            if (p - start).is_multiple_of(step) {
+                tgt[p - start] = v;
+            }
+        }
     }
 }
 
@@ -525,9 +595,11 @@ impl<L: Fn(usize) -> LinearQuantizer> Side for Decode<'_, L> {
         let q = self.q;
         let span = start..start + tgt.len();
         let cells = tgt.chunks_mut(step).zip(self.symbols[span].chunks(step));
-        // Two bodies, the escape test hoisted out of each. The validation
-        // pass saw every valid symbol, so outside the escape body no symbol
-        // is an escape.
+        // Two bodies. The validation pass saw every valid symbol, so with no
+        // escapes none is one. With escapes, every target is recovered as
+        // if escape-free, an escape as bin 0, with no branch; a run that
+        // met an escape then writes its literals over those targets. A pass
+        // never reads what it writes, so the overwrite comes in time.
         match &self.escapes {
             None => {
                 for ((t, sym), pred) in cells.zip(preds) {
@@ -535,12 +607,15 @@ impl<L: Fn(usize) -> LinearQuantizer> Side for Decode<'_, L> {
                 }
             }
             Some(esc) => {
-                for (k, ((t, sym), pred)) in cells.zip(preds).enumerate() {
-                    t[0] = if sym[0] == ESCAPE {
-                        esc.literal(start + k * step)
-                    } else {
-                        q.recover(sym[0], pred)
-                    };
+                let zero = bin_to_symbol(0);
+                let mut met = false;
+                for ((t, sym), pred) in cells.zip(preds) {
+                    let escape = sym[0] == ESCAPE;
+                    met |= escape;
+                    t[0] = q.recover(if escape { zero } else { sym[0] }, pred);
+                }
+                if met {
+                    esc.write_literals(tgt, start, step);
                 }
             }
         }
@@ -1736,9 +1811,11 @@ mod tests {
     /// bounds. The decoder must reproduce the encoder's buffer bits at
     /// valid points and the fill at masked points, bit for bit as the
     /// frozen decoder does, and a literal stream one value short or long
-    /// must be a `ReconstructError` on every arm. Then escape placements the
-    /// data never isolates — the anchor alone, the last point alone, every
-    /// point — decode on both decoders from crafted symbol grids.
+    /// must be a `ReconstructError` on every arm; given the grid's codebook
+    /// ([`InterpParams::with_codebook`]), `reconstruct` must give the same
+    /// bits and the same errors. Then escape placements the data never
+    /// isolates — the anchor alone, the last point alone, every point —
+    /// decode on both decoders from crafted symbol grids.
     #[test]
     fn oracle_sweep_matches_frozen_reference() {
         use crate::reference::{
@@ -1839,6 +1916,11 @@ mod tests {
                         let mut out = vec![0.0f32; n];
                         reconstruct(&mut out, dims, &params, &q, &sym, &lits, fill).unwrap();
                         check(&out, &buf, "reconstruct");
+                        let book = codebook_of(&sym);
+                        let booked = params.with_codebook(&book);
+                        let mut book_out = vec![0.0f32; n];
+                        reconstruct(&mut book_out, dims, &booked, &q, &sym, &lits, fill).unwrap();
+                        assert_eq!(bits(&book_out), bits(&out), "with codebook: {tag}");
                         let mut ref_out = vec![0.0f32; n];
                         ref_reconstruct(&mut ref_out, dims, &params, &q, &sym, &lits, fill)
                             .unwrap();
@@ -1878,6 +1960,9 @@ mod tests {
                                 },
                                 "{tag}"
                             );
+                            let booked_err =
+                                reconstruct(&mut out, dims, &booked, &q, &sym, bad, fill);
+                            assert_eq!(booked_err, Err(err), "with codebook: {tag}");
                         }
                     }
                 }
@@ -1888,11 +1973,20 @@ mod tests {
         }
     }
 
+    /// The distinct symbols of `sym`: a codebook that holds every one.
+    fn codebook_of(sym: &[u32]) -> Vec<u32> {
+        let mut book = sym.to_vec();
+        book.sort_unstable();
+        book.dedup();
+        book
+    }
+
     /// Decodes a crafted symbol grid — small pseudo-random bins, with
     /// escapes at `placement` ("anchor": raster index 0, "last": the last
     /// point, "every": every point) — on both decoders and both fittings,
-    /// plain and leveled, and compares the bits. An escape at a masked
-    /// point is no escape, so it takes no literal.
+    /// plain and leveled, and with the grid's codebook, and compares the
+    /// bits. An escape at a masked point is no escape, so it takes no
+    /// literal.
     fn escape_placement_decodes_as_frozen(
         dims: &[usize],
         mask: Option<&[bool]>,
@@ -1938,6 +2032,10 @@ mod tests {
             reconstruct(&mut out, dims, &params, &q, &sym, &lits, -5.0).unwrap();
             ref_reconstruct(&mut ref_out, dims, &params, &q, &sym, &lits, -5.0).unwrap();
             assert_eq!(bits(&out), bits(&ref_out), "{tag}");
+            let book = codebook_of(&sym);
+            let booked = params.with_codebook(&book);
+            reconstruct(&mut out, dims, &booked, &q, &sym, &lits, -5.0).unwrap();
+            assert_eq!(bits(&out), bits(&ref_out), "with codebook, {tag}");
             reconstruct_leveled(&mut out, dims, &params, &qf, &sym, &lits, -5.0).unwrap();
             ref_reconstruct_leveled(&mut ref_out, dims, &params, &qf, &sym, &lits, -5.0).unwrap();
             assert_eq!(bits(&out), bits(&ref_out), "leveled, {tag}");

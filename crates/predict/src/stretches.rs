@@ -43,13 +43,12 @@ impl Stretches {
         rows.push(0);
         let mut valid = 0;
         for row in flags.chunks_exact(row_len) {
-            let mut x = 0;
-            while let Some(a) = row[x..].iter().position(|&v| v) {
-                let a = x + a;
-                let b = row[a..].iter().position(|&v| !v).map_or(row_len, |e| a + e);
+            let mut a = next_flag(row, 0, true);
+            while a < row_len {
+                let b = next_flag(row, a, false);
                 spans.push((a, b));
                 valid += b - a;
-                x = b;
+                a = next_flag(row, b, true);
             }
             rows.push(spans.len());
         }
@@ -135,6 +134,29 @@ impl Stretches {
     }
 }
 
+/// The first index at or after `from` whose flag is `want`, or the row's
+/// length when there is none. A mask's stretches are long, so whole blocks
+/// of [`FLAG_BLOCK`] flags that all differ from `want` are passed over with
+/// one branch-free test each; only the block where the flag changes is
+/// read one flag at a time.
+fn next_flag(row: &[bool], from: usize, want: bool) -> usize {
+    let rest = &row[from..];
+    let mut skipped = 0;
+    for block in rest.chunks_exact(FLAG_BLOCK) {
+        if block.iter().fold(false, |hit, &v| hit | (v == want)) {
+            break;
+        }
+        skipped += FLAG_BLOCK;
+    }
+    rest[skipped..]
+        .iter()
+        .position(|&v| v == want)
+        .map_or(row.len(), |i| from + skipped + i)
+}
+
+/// Flags [`next_flag`] tests at once: one 16-byte vector compare.
+const FLAG_BLOCK: usize = 16;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,6 +185,36 @@ mod tests {
                 assert!(valid.iter().all(|&i| flags[i]));
                 assert!(invalid.iter().all(|&i| !flags[i]));
                 assert_eq!(valid.len() + invalid.len(), flags.len());
+            }
+        }
+    }
+
+    #[test]
+    fn stretches_of_long_rows_match_a_flag_by_flag_scan() {
+        // Rows longer than a flag block, with every stretch [a, b) of rows
+        // one short of, at and past one and two blocks, so stretch ends
+        // fall at every offset of a block, and between whole blocks of
+        // either flag.
+        for row_len in [15usize, 16, 17, 31, 32, 33, 48, 70] {
+            for a in 0..=row_len {
+                for b in a..=row_len {
+                    let flags: Vec<bool> = (0..2 * row_len)
+                        .map(|i| (a..b).contains(&(i % row_len)) != (i >= row_len))
+                        .collect();
+                    let st = Stretches::new(&flags, row_len);
+                    assert_eq!(flags_of(&st), flags, "row {row_len}, [{a}, {b})");
+                    let want: Vec<(usize, usize)> = (a < b).then_some((a, b)).into_iter().collect();
+                    assert_eq!(st.row(0), &want[..], "row {row_len}, [{a}, {b})");
+                    let around: Vec<(usize, usize)> = if a == b {
+                        vec![(0, row_len)]
+                    } else {
+                        [(0, a), (b, row_len)]
+                            .into_iter()
+                            .filter(|s| s.0 < s.1)
+                            .collect()
+                    };
+                    assert_eq!(st.row(1), &around[..], "row {row_len}, outside [{a}, {b})");
+                }
             }
         }
     }
