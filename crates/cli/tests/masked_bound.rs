@@ -1,9 +1,10 @@
 //! The paper's pointwise bound, end to end, on the paper's own case: a
 //! masked `ssh` field packed into a store with its `autotune_fast` config
 //! (periodic, permuted), then read back through every surface a user has
-//! — a region cold and warm, the whole grid, and a served `REGION` reply.
-//! Each must be within the resolved bound of the original at every valid
-//! point, and carry the store's fill at every masked point.
+//! — a region cold and warm, the whole grid, a served `REGION` reply and
+//! the CAF that `cliz fetch -o` writes from it. Each must be within the
+//! resolved bound of the original at every valid point, and carry the
+//! store's fill at every masked point.
 
 use cliz::data::FILL_VALUE;
 use cliz::grid::{Grid, MaskMap};
@@ -81,6 +82,7 @@ fn masked_periodic_permuted_store_keeps_the_bound_on_every_read_path() {
     let mut ds = Dataset::new("SSH", original.clone(), Some(mask.clone()));
     ds.set_attr("time_axis", "2");
     let store = pack_store(&ds, ErrorBound::Rel(REL), &config, CHUNK_LEN, 2).unwrap();
+    assert_eq!(store[4], 2, "not a CZS1 version-2 store");
     let (mn, mx) = cliz::valid_min_max(&original, Some(&mask));
     let eb = ErrorBound::Rel(REL).resolve(mn, mx);
 
@@ -118,5 +120,22 @@ fn masked_periodic_permuted_store_keeps_the_bound_on_every_read_path() {
     let served = Grid::from_vec(cliz::grid::Shape::new(&shape), values);
     check("served REGION", &served, &original, &mask, &region, eb);
     client.quit().expect("clean quit");
+
+    // The CLI's `fetch`: the same region over the wire, written as a CAF.
+    let dir = std::env::temp_dir().join(format!("cliz_masked_bound_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("fetched.caf");
+    let argv = [
+        "fetch".to_string(),
+        server.addr().to_string(),
+        "--region".to_string(),
+        "3:17,4:27,7:53".to_string(),
+        "-o".to_string(),
+        out.display().to_string(),
+    ];
+    cliz_cli::run(&argv, &mut Vec::new()).expect("cliz fetch");
+    let fetched = cliz::store::load(&out).unwrap();
+    check("fetch -o", &fetched.data, &original, &mask, &region, eb);
+    let _ = std::fs::remove_dir_all(&dir);
     server.stop();
 }

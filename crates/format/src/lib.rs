@@ -37,7 +37,9 @@ pub mod spec {
     /// Chunked CliZ container (`cliz_core::chunked`).
     pub const CLZC: FormatSpec = FormatSpec { name: "CLZC", magic: 0x434C_5A43, version: 1 };
     /// Random-access chunk store (`cliz_store::format`).
-    pub const CZS1: FormatSpec = FormatSpec { name: "CZS1", magic: 0x3153_5A43, version: 1 };
+    /// Version 2 keeps the mask as a ZLT1 frame; version 1 (a raw bitmap)
+    /// is still read.
+    pub const CZS1: FormatSpec = FormatSpec { name: "CZS1", magic: 0x3153_5A43, version: 2 };
     /// Climate array file with attributes and mask (`cliz_store::caf`).
     pub const CAF1: FormatSpec = FormatSpec { name: "CAF1", magic: 0x4341_4631, version: 1 };
     /// CLI dataset envelope (`cliz_cli::czfile`).

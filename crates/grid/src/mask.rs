@@ -110,26 +110,52 @@ impl MaskMap {
 
     /// Bit-packs the mask (8 flags per byte, little-endian within the byte).
     pub fn pack_bits(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.valid.len().div_ceil(8)];
-        for (i, &v) in self.valid.iter().enumerate() {
-            if v {
-                out[i / 8] |= 1 << (i % 8);
-            }
-        }
-        out
+        pack_flags(&self.valid)
     }
 
     /// Inverse of [`MaskMap::pack_bits`]. Callers pass a buffer sized from
     /// the shape (`len().div_ceil(8)`); a short buffer is a programmer
-    /// error, and any byte past the end reads as all-invalid flags.
+    /// error, and bits past the last flag are ignored.
     pub fn unpack_bits(shape: Shape, bytes: &[u8]) -> Self {
         let n = shape.len();
         assert!(bytes.len() * 8 >= n, "packed mask too short");
-        let valid = (0..n)
-            .map(|i| bytes.get(i / 8).is_some_and(|&b| b >> (i % 8) & 1 == 1))
-            .collect();
-        Self { shape, valid }
+        Self {
+            shape,
+            valid: unpack_flags(bytes, n),
+        }
     }
+}
+
+/// [`MaskMap::pack_bits`]: each full byte comes from one 8-flag word
+/// ([`pack_word`]), the tail from a fold.
+fn pack_flags(valid: &[bool]) -> Vec<u8> {
+    let (words, tail) = valid.as_chunks::<8>();
+    let mut out = Vec::with_capacity(valid.len().div_ceil(8));
+    out.extend(words.iter().map(pack_word));
+    if !tail.is_empty() {
+        out.push(tail.iter().rev().fold(0, |b, &v| b << 1 | u8::from(v)));
+    }
+    out
+}
+
+/// 8 flags as one byte, the first in the lowest bit. The flags load as one
+/// little-endian word of 0/1 bytes; the multiply moves byte `k`'s bit to
+/// bit `56 + k`, and every other partial product lands on a distinct bit,
+/// so nothing carries into the top byte.
+fn pack_word(flags: &[bool; 8]) -> u8 {
+    let word = u64::from_le_bytes(flags.map(u8::from));
+    (word.wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
+}
+
+/// The first `n` flags of `bytes`, 8 written per byte read.
+fn unpack_flags(bytes: &[u8], n: usize) -> Vec<bool> {
+    let mut valid = vec![false; n];
+    for (flags, &b) in valid.chunks_mut(8).zip(bytes) {
+        for (k, v) in flags.iter_mut().enumerate() {
+            *v = b & (1 << k) != 0;
+        }
+    }
+    valid
 }
 
 #[cfg(test)]
@@ -164,6 +190,78 @@ mod tests {
         assert_eq!(packed.len(), 3); // ceil(21/8)
         let back = MaskMap::unpack_bits(shape, &packed);
         assert_eq!(back, m);
+    }
+
+    /// The per-flag loops the word-at-a-time kernels replaced.
+    fn oracle_pack(valid: &[bool]) -> Vec<u8> {
+        let mut out = vec![0u8; valid.len().div_ceil(8)];
+        for (i, &v) in valid.iter().enumerate() {
+            if v {
+                out[i / 8] |= 1 << (i % 8);
+            }
+        }
+        out
+    }
+
+    fn oracle_unpack(bytes: &[u8], n: usize) -> Vec<bool> {
+        (0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect()
+    }
+
+    /// xorshift64*: seeded, so a failing case reproduces.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn check_kernels(valid: &[bool], what: &str) {
+        let packed = pack_flags(valid);
+        assert_eq!(packed, oracle_pack(valid), "pack: {what}");
+        assert_eq!(unpack_flags(&packed, valid.len()), valid, "unpack: {what}");
+        // Bits past the last flag are ignored, whatever they hold.
+        let mut padded = packed;
+        let used = valid.len() % 8;
+        if let (Some(last), true) = (padded.last_mut(), used != 0) {
+            *last |= !0u8 << used;
+        }
+        assert_eq!(unpack_flags(&padded, valid.len()), valid, "padding: {what}");
+    }
+
+    #[test]
+    fn bit_kernels_match_the_per_flag_loops() {
+        // All valid, all invalid, alternating, every third, runs of 5.
+        let patterns: [fn(usize) -> bool; 5] = [
+            |_| true,
+            |_| false,
+            |i| i % 2 == 0,
+            |i| i % 3 == 1,
+            |i| i / 5 % 2 == 1,
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for len in 0..=130 {
+            for (p, f) in patterns.iter().enumerate() {
+                let valid: Vec<bool> = (0..len).map(f).collect();
+                check_kernels(&valid, &format!("pattern {p}, length {len}"));
+            }
+            let valid: Vec<bool> = (0..len).map(|_| next(&mut state) & 1 == 1).collect();
+            check_kernels(&valid, &format!("random, length {len}"));
+        }
+        for seed in 1..=64u64 {
+            let mut state = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
+            let len = (next(&mut state) % 4096) as usize;
+            let density = next(&mut state) % 100;
+            let valid: Vec<bool> = (0..len).map(|_| next(&mut state) % 100 < density).collect();
+            check_kernels(&valid, &format!("seed {seed}, length {len}"));
+            let bytes: Vec<u8> = (0..len.div_ceil(8))
+                .map(|_| next(&mut state) as u8)
+                .collect();
+            assert_eq!(
+                unpack_flags(&bytes, len),
+                oracle_unpack(&bytes, len),
+                "unpack of random bytes: seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -249,6 +249,15 @@ impl Emit {
     }
 }
 
+/// The length a frame declares it decodes to, read from its header alone.
+/// A container that knows how long the bytes it framed must be checks
+/// this before [`decompress`] allocates or decodes anything.
+pub fn declared_len(data: &[u8]) -> Result<usize, Error> {
+    let mut r = HeaderReader::new(data);
+    r.expect_magic(&ZLT1)?;
+    Ok(r.len64()?)
+}
+
 /// Decompresses a [`compress`] stream.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, Error> {
     let mut r = HeaderReader::new(data);
@@ -405,6 +414,21 @@ mod tests {
         let mut c = compress(b"payload");
         c[4] = 0xEE;
         assert_eq!(decompress(&c), Err(Error::UnsupportedVersion(0xEE)));
+    }
+
+    #[test]
+    fn declared_len_reads_the_header_alone() {
+        for data in [&b""[..], b"payload", &[7u8; 5000]] {
+            let c = compress(data);
+            assert_eq!(declared_len(&c), Ok(data.len()));
+            // The body plays no part: a header on its own answers too.
+            assert_eq!(declared_len(&c[..13]), Ok(data.len()));
+        }
+        let c = compress(b"payload");
+        assert_eq!(declared_len(&c[..12]), Err(Error::Truncated));
+        let mut bad = c.clone();
+        bad[0] ^= 0xFF;
+        assert_eq!(declared_len(&bad), Err(Error::BadMagic));
     }
 
     #[test]

@@ -20,4 +20,4 @@ pub mod format;
 pub mod lz;
 pub mod reference;
 
-pub use format::{compress, compress_lz, decompress, Error};
+pub use format::{compress, compress_lz, declared_len, decompress, Error};

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic     u32   "CZS1"
-//! version   u8    1
+//! version   u8    2
 //! name      string                 variable name
 //! nattrs    u16   then nattrs × (key string, value string)
 //! ndim      u8    then ndim × (dim-name string, extent u64)
@@ -14,9 +14,14 @@
 //! n_chunks  u32   must equal ceil(dims[0] / chunk_len)
 //! index     n_chunks × (offset u64, len u64, crc32 u32)
 //! plen      u64   payload length in bytes
-//! [mask]    ceil(len/8) bytes, bit-packed (LSB-first)
+//! [mask_len u64   then mask_len bytes: one ZLT1 frame of the bit-packed
+//!                 (LSB-first) mask, ceil(len/8) bytes once decoded]
 //! payload   plen bytes — one CLZC container
 //! ```
+//!
+//! Version 1, read but never written, kept the mask as the raw
+//! `ceil(len/8)`-byte bitmap with no length prefix; it is otherwise the
+//! same layout.
 //!
 //! Index invariants (checked on parse, and cross-checked against the CLZC
 //! offset table when a [`crate::ChunkStoreReader`] opens the file):
@@ -33,6 +38,7 @@
 
 use crate::error::StoreError;
 use crate::caf::Dataset;
+use cliz_core::lossless;
 use cliz_format::{spec::CZS1, HeaderReader, HeaderWriter};
 use cliz_grid::{MaskMap, Shape};
 use std::io::Write;
@@ -132,7 +138,7 @@ pub fn parse_store(bytes: &[u8]) -> Result<ParsedStore, StoreError> {
 /// location is returned instead.
 pub fn parse_store_prefix(bytes: &[u8], full_len: usize) -> Result<StoreMeta, StoreError> {
     let mut cur = HeaderReader::new(bytes);
-    cur.expect_magic(&CZS1)?;
+    let version = cur.expect_magic(&CZS1)?;
     let name = cur.str16()?.to_string();
     let nattrs = cur.u16()? as usize;
     // Each attr needs ≥ 4 bytes (two empty strings); bound the Vec by what
@@ -226,11 +232,18 @@ pub fn parse_store_prefix(bytes: &[u8], full_len: usize) -> Result<StoreMeta, St
         }
     }
 
-    let mask = if has_mask {
+    let mask = if !has_mask {
+        None
+    } else if version >= 2 {
+        let mask_len = cur.len64()?;
+        if mask_len > full_len.saturating_sub(cur.pos()) {
+            return Err(StoreError::Corrupt("mask frame exceeds file size"));
+        }
+        Some(unpack_mask_frame(cur.take(mask_len)?, Shape::new(&dims))?)
+    } else {
+        // Version 1: the raw bitmap.
         let packed = cur.take(total.div_ceil(8))?;
         Some(MaskMap::unpack_bits(Shape::new(&dims), packed))
-    } else {
-        None
     };
     let payload_start = cur.pos();
     if payload_start
@@ -255,7 +268,24 @@ pub fn parse_store_prefix(bytes: &[u8], full_len: usize) -> Result<StoreMeta, St
     })
 }
 
-/// Serializes a store: metadata + index, then mask bits, then the payload.
+/// Decodes a version-2 mask section: one ZLT1 frame of the packed bitmap.
+/// The frame must declare the bitmap's length before anything is
+/// allocated or decoded, so a frame that lies about its size fails on its
+/// header, and the decode never produces more than the geometry allows.
+fn unpack_mask_frame(frame: &[u8], shape: Shape) -> Result<MaskMap, StoreError> {
+    let declared =
+        lossless::declared_len(frame).map_err(|_| StoreError::Corrupt("bad mask frame"))?;
+    if declared != shape.len().div_ceil(8) {
+        return Err(StoreError::Corrupt(
+            "mask frame length disagrees with geometry",
+        ));
+    }
+    let packed = lossless::decompress(frame).map_err(|_| StoreError::Corrupt("bad mask frame"))?;
+    Ok(MaskMap::unpack_bits(shape, &packed))
+}
+
+/// Serializes a store: metadata + index, then the mask frame, then the
+/// payload.
 /// The write side re-checks the same invariants the parser enforces so a
 /// buggy caller cannot produce a file its own reader rejects.
 pub fn write_store(
@@ -279,6 +309,9 @@ pub fn write_store(
     if index.has_mask != mask.is_some() {
         return Err(StoreError::Invalid("mask flag does not match mask"));
     }
+    if mask.is_some_and(|m| m.shape().dims() != index.dims) {
+        return Err(StoreError::Invalid("mask shape does not match dims"));
+    }
     if index.attrs.len() > u16::MAX as usize {
         return Err(StoreError::Invalid("too many attributes"));
     }
@@ -296,9 +329,9 @@ pub fn write_store(
         return Err(StoreError::Invalid("index does not cover payload"));
     }
 
-    // The metadata prefix is assembled through the shared cursor (the exact
-    // mirror of the reads in `parse_store`); mask bits and the bulk payload
-    // stream straight to the sink afterwards.
+    // The metadata prefix and the mask frame are assembled through the
+    // shared cursor (the exact mirror of the reads in `parse_store`); the
+    // bulk payload streams straight to the sink afterwards.
     let mut hw = HeaderWriter::new();
     hw.magic(&CZS1);
     hw.str16(&index.name)
@@ -323,10 +356,12 @@ pub fn write_store(
         hw.u32(e.checksum);
     }
     hw.u64(payload.len() as u64);
-    w.write_all(&hw.finish())?;
     if let Some(m) = mask {
-        w.write_all(&m.pack_bits())?;
+        let frame = lossless::compress(&m.pack_bits());
+        hw.u64(frame.len() as u64);
+        hw.raw(&frame);
     }
+    w.write_all(&hw.finish())?;
     w.write_all(payload)?;
     Ok(())
 }
@@ -379,6 +414,32 @@ mod tests {
         assert_eq!(parsed.index, index);
         assert!(parsed.mask.is_none());
         assert_eq!(&buf[parsed.payload.clone()], payload.as_slice());
+    }
+
+    #[test]
+    fn masked_store_keeps_its_mask_as_a_frame() {
+        let (mut index, payload) = tiny_index();
+        let mut plain = Vec::new();
+        write_store(&mut plain, &index, None, &payload).unwrap();
+        let at = plain.len() - payload.len();
+        let flags = (0..24).map(|i| i % 7 != 3).collect();
+        let mask = MaskMap::from_flags(Shape::new(&index.dims), flags);
+        index.has_mask = true;
+        let mut buf = Vec::new();
+        write_store(&mut buf, &index, Some(&mask), &payload).unwrap();
+        assert_eq!(buf[4], CZS1.version);
+        let frame_len = u64::from_le_bytes(buf[at..at + 8].try_into().unwrap()) as usize;
+        let frame = &buf[at + 8..at + 8 + frame_len];
+        assert_eq!(lossless::decompress(frame).unwrap(), mask.pack_bits());
+        let parsed = parse_store(&buf).unwrap();
+        assert_eq!(parsed.mask.as_ref(), Some(&mask));
+        assert_eq!(parsed.payload.start, at + 8 + frame_len);
+        // A mask of another shape would frame a bitmap the parser refuses.
+        let other = MaskMap::all_valid(Shape::new(&[4, 6]));
+        assert!(matches!(
+            write_store(&mut Vec::new(), &index, Some(&other), &payload),
+            Err(StoreError::Invalid("mask shape does not match dims"))
+        ));
     }
 
     #[test]

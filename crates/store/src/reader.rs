@@ -803,6 +803,30 @@ mod tests {
     }
 
     #[test]
+    fn masked_store_opens_in_two_gets() {
+        // The raw bitmap alone would outgrow the first metadata prefix; as
+        // a frame the mask fits it, so the open is the prefix get and the
+        // container-header get.
+        let dims = [8, 256, 288];
+        let n: usize = dims.iter().product();
+        assert!(n.div_ceil(8) as u64 > OPEN_PREFIX_BYTES);
+        let flags = (0..n)
+            .map(|i| {
+                let (y, x) = (i / dims[2] % dims[1], i % dims[2]);
+                !((60..190).contains(&y) && (40..200).contains(&x))
+            })
+            .collect();
+        let mask = MaskMap::from_flags(Shape::new(&dims), flags);
+        let ds = Dataset::new("sst", smooth(&dims), Some(mask.clone()));
+        let cfg = PipelineConfig::default_for(3);
+        let bytes = pack_store(&ds, ErrorBound::Abs(1e-2), &cfg, 4, 0).unwrap();
+        let backend = Arc::new(MemBackend::new(bytes));
+        let reader = ChunkStoreReader::from_storage(backend, DEFAULT_CACHE_BUDGET).unwrap();
+        assert_eq!(reader.stats().backend_gets, 2);
+        assert_eq!(reader.mask(), Some(&mask));
+    }
+
+    #[test]
     fn metadata_surfaces_through_reader() {
         let g = smooth(&[9, 5]);
         let mut ds = Dataset::new("pr", g, None);

@@ -2,7 +2,7 @@
 //! must fail cleanly (errors, never panics or wrong silent output).
 
 use cliz::prelude::*;
-use cliz::grid::{Grid, Shape};
+use cliz::grid::{Grid, MaskMap, Shape};
 
 fn sample_grid() -> Grid<f32> {
     Grid::from_fn(Shape::new(&[24, 32]), |c| {
@@ -463,43 +463,82 @@ fn sample_store() -> Vec<u8> {
     .unwrap()
 }
 
+/// The sample grid's land mask: a block of invalid rows and columns plus
+/// scattered invalid points.
+fn sample_mask() -> MaskMap {
+    let flags = (0..24 * 32)
+        .map(|i| {
+            let land = (8..15).contains(&(i / 32)) && (5..19).contains(&(i % 32));
+            !land && i % 37 != 5
+        })
+        .collect();
+    MaskMap::from_flags(Shape::new(&[24, 32]), flags)
+}
+
+/// [`sample_store`] over the sample grid masked by `mask`.
+fn masked_store(mask: MaskMap) -> Vec<u8> {
+    let ds = cliz::store::Dataset::new("T", sample_grid(), Some(mask));
+    cliz::store::pack_store(
+        &ds,
+        ErrorBound::Abs(1e-3),
+        &PipelineConfig::default_for(2),
+        6,
+        1,
+    )
+    .unwrap()
+}
+
+/// The unmasked and the masked sample store, each with the length of its
+/// front matter (metadata, index and, when masked, the mask frame) — the
+/// part the sweeps cover densely.
+fn sample_stores() -> [(&'static str, Vec<u8>, usize); 2] {
+    let front = |b: &[u8]| cliz::store::format::parse_store(b).unwrap().payload.start;
+    let (plain, masked) = (sample_store(), masked_store(sample_mask()));
+    let (p, m) = (front(&plain), front(&masked));
+    [("plain", plain, p), ("masked", masked, m)]
+}
+
 #[test]
 fn store_truncation_sweep_never_panics() {
     // The store format ends with an exact-length payload, so *every* prefix
-    // must be rejected at open — densely over the metadata/index region,
-    // strided over the payload.
-    let bytes = sample_store();
-    for cut in (0..160.min(bytes.len())).chain((160..bytes.len()).step_by(3)) {
-        assert!(
-            cliz::store::ChunkStoreReader::from_bytes(bytes[..cut].to_vec()).is_err(),
-            "store prefix of {cut} bytes opened successfully"
-        );
+    // must be rejected at open — densely over the metadata/index region
+    // and the mask frame, strided over the payload.
+    for (name, bytes, front) in sample_stores() {
+        let dense = 160.max(front + 40).min(bytes.len());
+        for cut in (0..dense).chain((dense..bytes.len()).step_by(3)) {
+            assert!(
+                cliz::store::ChunkStoreReader::from_bytes(bytes[..cut].to_vec()).is_err(),
+                "{name} store prefix of {cut} bytes opened successfully"
+            );
+        }
     }
 }
 
 #[test]
 fn store_index_bitflip_sweep_detected_or_survived() {
     // Dense single-byte sweep over the metadata + index region (corrupt
-    // offsets, lens, checksums, geometry). Every flip must surface as a
-    // StoreError — at open via the index invariants and the CLZC offset
-    // cross-check, or at read via the per-chunk CRC — never as a panic or
-    // as silently wrong-shaped output.
-    let bytes = sample_store();
-    let mut rejected = 0usize;
-    for pos in 0..200.min(bytes.len()) {
-        for flip in [0x01u8, 0x80, 0xFF] {
-            let mut b = bytes.clone();
-            b[pos] ^= flip;
-            match cliz::store::ChunkStoreReader::from_bytes(b) {
-                Err(_) => rejected += 1,
-                Ok(reader) => match reader.read_all() {
+    // offsets, lens, checksums, geometry) and the mask frame. Every flip
+    // must surface as a StoreError — at open via the index invariants, the
+    // mask frame's checks and the CLZC offset cross-check, or at read via
+    // the per-chunk CRC — never as a panic or as silently wrong-shaped
+    // output.
+    for (name, bytes, front) in sample_stores() {
+        let mut rejected = 0usize;
+        for pos in 0..200.max(front + 40).min(bytes.len()) {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let mut b = bytes.clone();
+                b[pos] ^= flip;
+                match cliz::store::ChunkStoreReader::from_bytes(b) {
                     Err(_) => rejected += 1,
-                    Ok(out) => assert_eq!(out.shape().dims(), &[24, 32], "pos {pos}"),
-                },
+                    Ok(reader) => match reader.read_all() {
+                        Err(_) => rejected += 1,
+                        Ok(out) => assert_eq!(out.shape().dims(), &[24, 32], "{name} pos {pos}"),
+                    },
+                }
             }
         }
+        assert!(rejected > 0, "no {name} store corruption ever detected");
     }
-    assert!(rejected > 0, "no store index corruption ever detected");
 }
 
 #[test]
@@ -523,42 +562,122 @@ fn store_checksum_catches_payload_corruption_before_codec() {
 fn seeded_multibyte_mutation_sweep_on_store() {
     // Multi-byte mutations across the whole file hit interacting-field
     // corruption (index vs offset table, geometry vs entry count, CRC vs
-    // payload). Open and every read path must return, never panic or
-    // over-allocate.
-    let bytes = sample_store();
-    for seed in 1..=150u64 {
-        let mut rng = XorShift(seed.wrapping_mul(0xC2B2_AE3D_27D4_EB4F) | 1);
-        let mut b = bytes.clone();
-        let count = 1 + (rng.next() as usize) % 8;
-        mutate(&mut b, &mut rng, count);
-        if let Ok(reader) = cliz::store::ChunkStoreReader::from_bytes(b) {
-            if let Ok(out) = reader.read_all() {
-                assert_eq!(out.shape().dims(), &[24, 32], "seed {seed}");
+    // payload, mask frame vs geometry). Open and every read path must
+    // return, never panic or over-allocate.
+    for (name, bytes, _) in sample_stores() {
+        for seed in 1..=150u64 {
+            let mut rng = XorShift(seed.wrapping_mul(0xC2B2_AE3D_27D4_EB4F) | 1);
+            let mut b = bytes.clone();
+            let count = 1 + (rng.next() as usize) % 8;
+            mutate(&mut b, &mut rng, count);
+            if let Ok(reader) = cliz::store::ChunkStoreReader::from_bytes(b) {
+                if let Ok(out) = reader.read_all() {
+                    assert_eq!(out.shape().dims(), &[24, 32], "{name} seed {seed}");
+                }
+                // A window and one whole chunk take different guards: sweep both.
+                let _ = reader.read_region(&[7..13, 4..20]);
+                let _ = reader.read_region(&chunk_region(&reader, 3));
             }
-            // A window and one whole chunk take different guards: sweep both.
-            let _ = reader.read_region(&[7..13, 4..20]);
-            let _ = reader.read_region(&chunk_region(&reader, 3));
         }
     }
 }
 
 #[test]
 fn seeded_multibyte_mutation_sweep_on_store_index_region() {
-    // Mutations confined to the metadata/index region concentrate pressure
-    // on the length-provenance guards (counts, extents, offsets, lens).
-    let bytes = sample_store();
-    for seed in 1..=120u64 {
-        let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-        let mut b = bytes.clone();
-        let head = 200.min(b.len());
-        let count = 1 + (rng.next() as usize) % 6;
-        mutate(&mut b[..head], &mut rng, count);
-        if let Ok(reader) = cliz::store::ChunkStoreReader::from_bytes(b) {
-            if let Ok(out) = reader.read_all() {
-                assert_eq!(out.shape().dims(), &[24, 32], "seed {seed}");
+    // Mutations confined to the metadata/index region (and the mask frame,
+    // when there is one) concentrate pressure on the length-provenance
+    // guards (counts, extents, offsets, lens, the frame's two lengths).
+    for (name, bytes, front) in sample_stores() {
+        for seed in 1..=120u64 {
+            let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let mut b = bytes.clone();
+            let head = 200.max(front).min(b.len());
+            let count = 1 + (rng.next() as usize) % 6;
+            mutate(&mut b[..head], &mut rng, count);
+            if let Ok(reader) = cliz::store::ChunkStoreReader::from_bytes(b) {
+                if let Ok(out) = reader.read_all() {
+                    assert_eq!(out.shape().dims(), &[24, 32], "{name} seed {seed}");
+                }
             }
         }
     }
+}
+
+/// The version-1 layout of a masked store: the raw bitmap in place of the
+/// length-prefixed mask frame, and version byte 1.
+fn as_version_1(v2: &[u8], mask: &MaskMap) -> Vec<u8> {
+    let (_, at, _) = czs_index(v2);
+    let frame_len = u64::from_le_bytes(v2[at..at + 8].try_into().unwrap()) as usize;
+    let mut v1 = v2[..at].to_vec();
+    v1[4] = 1;
+    v1.extend_from_slice(&mask.pack_bits());
+    v1.extend_from_slice(&v2[at + 8 + frame_len..]);
+    v1
+}
+
+#[test]
+fn crafted_mask_frames_are_typed_errors() {
+    let mask = sample_mask();
+    let bytes = masked_store(mask.clone());
+    let (_, at, _) = czs_index(&bytes);
+    let open = |b: Vec<u8>| cliz::store::ChunkStoreReader::from_bytes(b).map(|_| ());
+    let corrupt = |b: Vec<u8>| match open(b) {
+        Err(cliz::store::StoreError::Corrupt(what)) => what,
+        other => panic!("expected Corrupt, got {other:?}"),
+    };
+
+    // `mask_len` past the end of the object.
+    for claim in [bytes.len() as u64, u64::MAX] {
+        let mut b = bytes.clone();
+        b[at..at + 8].copy_from_slice(&claim.to_le_bytes());
+        assert_eq!(corrupt(b), "mask frame exceeds file size", "{claim}");
+    }
+
+    // A frame that declares another length than the geometry's bitmap is
+    // refused on its header; 2^40 would otherwise steer the decode.
+    let packed = mask.len().div_ceil(8) as u64;
+    let raw_len_at = at + 8 + 5; // past the frame's magic and version
+    for claim in [packed - 1, packed + 1, 1 << 40] {
+        let mut b = bytes.clone();
+        b[raw_len_at..raw_len_at + 8].copy_from_slice(&claim.to_le_bytes());
+        assert_eq!(
+            corrupt(b),
+            "mask frame length disagrees with geometry",
+            "frame claims {claim}"
+        );
+    }
+
+    // Version 2 bytes read as version 1: the length prefix and the frame
+    // are not a bitmap, and the payload no longer lines up.
+    let mut b = bytes.clone();
+    b[4] = 1;
+    corrupt(b);
+
+    // The version-1 layout of the same store still opens, to the same mask
+    // and values; read as version 2, its bitmap is no length-prefixed frame.
+    let v1_bytes = as_version_1(&bytes, &mask);
+    let mut b = v1_bytes.clone();
+    b[4] = 2;
+    corrupt(b);
+    let v1 = cliz::store::ChunkStoreReader::from_bytes(v1_bytes).unwrap();
+    let v2 = cliz::store::ChunkStoreReader::from_bytes(bytes).unwrap();
+    assert_eq!(v1.mask(), Some(&mask));
+    assert_eq!(v1.read_all().unwrap(), v2.read_all().unwrap());
+}
+
+#[test]
+fn incompressible_mask_costs_at_most_a_frame_header() {
+    // A random mask leaves zlite nothing to find: the stored frame is the
+    // bitmap plus its 14-byte header, and the length prefix adds 8.
+    let mut rng = XorShift(0x5EED_1A4D);
+    let flags = (0..24 * 32).map(|_| rng.next() & 1 == 1).collect();
+    let mask = MaskMap::from_flags(Shape::new(&[24, 32]), flags);
+    let v2 = masked_store(mask.clone());
+    let v1 = as_version_1(&v2, &mask);
+    let (v1_len, v2_len) = (v1.len(), v2.len());
+    assert!(v2_len <= v1_len + 22, "{v2_len} > {v1_len} + 22");
+    let reader = cliz::store::ChunkStoreReader::from_bytes(v2).unwrap();
+    assert_eq!(reader.mask(), Some(&mask));
 }
 
 #[test]
@@ -768,9 +887,10 @@ fn bad_chunk_request_is_bad_config_and_wrong_mask_is_mask_required() {
     ));
 }
 
-/// Parses the CZS1 front matter: returns (index_pos, payload_start, entries)
-/// where entries are (offset, len) pairs relative to the payload. Assumes a
-/// maskless store (as `sample_store` builds).
+/// Parses the CZS1 front matter: returns (index_pos, end, entries) where
+/// entries are (offset, len) pairs relative to the payload and `end` is
+/// where the index block ends: the payload start of a maskless store (as
+/// `sample_store` builds), the mask section's start otherwise.
 fn czs_index(b: &[u8]) -> (usize, usize, Vec<(usize, usize)>) {
     let u16at = |p: usize| u16::from_le_bytes([b[p], b[p + 1]]) as usize;
     let u32at = |p: usize| u32::from_le_bytes(b[p..p + 4].try_into().unwrap()) as usize;

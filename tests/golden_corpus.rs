@@ -82,6 +82,14 @@ fn periodic_masked_config() -> PipelineConfig {
     }
 }
 
+/// The archive pipeline's store: the periodic masked field in slabs of two
+/// rows, each keeping the whole time axis.
+fn periodic_masked_store() -> Vec<u8> {
+    let (data, mask) = periodic_masked_field();
+    let ds = cliz::store::Dataset::new("SSH", data, Some(mask));
+    cliz::store::pack_store(&ds, ErrorBound::Abs(EB), &periodic_masked_config(), 2, 1).unwrap()
+}
+
 fn sample_dataset() -> cliz::store::Dataset {
     let mut ds = cliz::store::Dataset::new("T2m", sample_grid(), None);
     ds.set_attr("units", "K");
@@ -119,7 +127,8 @@ fn build_corpus() -> Vec<(&'static str, Vec<u8>)> {
             "clzc_chunked.bin",
             cliz::compress_chunked_with_threads(&g, None, ErrorBound::Abs(EB), &cfg, 6, 0).unwrap(),
         ),
-        ("czs1_store.bin", store),
+        ("czs1_store_v2.bin", store),
+        ("czs1_masked_v2.bin", periodic_masked_store()),
         ("caf1_archive.bin", caf),
         ("zlt1_lossless.bin", cliz::lossless::compress(&zlt1_payload())),
         (
@@ -145,6 +154,11 @@ fn build_corpus() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
+/// Decode-only fixtures: stores written by CZS1 version 1, which kept the
+/// mask as a raw bitmap. No encoder writes them any more; they pin that
+/// the reader still opens them.
+const CZS1_V1: [&str; 2] = ["czs1_store.bin", "czs1_masked_v1.bin"];
+
 /// The committed bytes for each corpus entry, embedded at compile time so
 /// the suite needs no runtime path discovery.
 fn committed(name: &str) -> &'static [u8] {
@@ -153,6 +167,9 @@ fn committed(name: &str) -> &'static [u8] {
         "cliz_periodic_masked.bin" => include_bytes!("golden/cliz_periodic_masked.bin"),
         "clzc_chunked.bin" => include_bytes!("golden/clzc_chunked.bin"),
         "czs1_store.bin" => include_bytes!("golden/czs1_store.bin"),
+        "czs1_store_v2.bin" => include_bytes!("golden/czs1_store_v2.bin"),
+        "czs1_masked_v1.bin" => include_bytes!("golden/czs1_masked_v1.bin"),
+        "czs1_masked_v2.bin" => include_bytes!("golden/czs1_masked_v2.bin"),
         "caf1_archive.bin" => include_bytes!("golden/caf1_archive.bin"),
         "zlt1_lossless.bin" => include_bytes!("golden/zlt1_lossless.bin"),
         "szl1_sz3.bin" => include_bytes!("golden/szl1_sz3.bin"),
@@ -210,10 +227,25 @@ fn committed_containers_decode_within_bound() {
     let chunked = cliz::decompress_chunked(committed("clzc_chunked.bin"), None).unwrap();
     assert!(max_err(&chunked) <= tol);
 
-    let reader =
-        cliz::store::ChunkStoreReader::from_bytes(committed("czs1_store.bin").to_vec()).unwrap();
-    let store = reader.read_all().unwrap();
-    assert!(max_err(&store) <= tol);
+    for name in ["czs1_store.bin", "czs1_store_v2.bin"] {
+        let reader = cliz::store::ChunkStoreReader::from_bytes(committed(name).to_vec()).unwrap();
+        assert!(reader.mask().is_none(), "{name}");
+        assert!(max_err(&reader.read_all().unwrap()) <= tol, "{name}");
+    }
+    for name in ["czs1_masked_v1.bin", "czs1_masked_v2.bin"] {
+        let reader = cliz::store::ChunkStoreReader::from_bytes(committed(name).to_vec()).unwrap();
+        assert_eq!(reader.mask(), Some(&pm_mask), "{name}");
+        let store = reader.read_all().unwrap();
+        let pairs = pm_data.as_slice().iter().zip(store.as_slice());
+        for (i, (&a, &b)) in pairs.enumerate() {
+            if pm_mask.is_valid(i) {
+                let err = (f64::from(a) - f64::from(b)).abs();
+                assert!(err <= tol, "{name}: bound violated at {i}");
+            } else {
+                assert_eq!(a.to_bits(), b.to_bits(), "{name}: fill at {i}");
+            }
+        }
+    }
 
     let ds = cliz::store::read_caf(&mut committed("caf1_archive.bin")).unwrap();
     assert_eq!(ds.name, "T2m");
@@ -238,29 +270,58 @@ fn committed_containers_decode_within_bound() {
     }
 }
 
+/// A store's CLZC payload.
+fn store_payload(store: &[u8]) -> &[u8] {
+    &store[cliz::store::format::parse_store(store).unwrap().payload]
+}
+
+#[test]
+fn czs1_version_2_changes_only_the_mask_section() {
+    // An unmasked store differs from version 1 in its version byte alone.
+    let (v1, v2) = (committed("czs1_store.bin"), committed("czs1_store_v2.bin"));
+    assert_eq!(v1.len(), v2.len());
+    let diff: Vec<usize> = (0..v1.len()).filter(|&i| v1[i] != v2[i]).collect();
+    assert_eq!(diff, [4]);
+    // A masked one keeps the CLZC payload byte for byte, and its framed
+    // mask is far smaller than the raw bitmap.
+    let (v1, v2) = (
+        committed("czs1_masked_v1.bin"),
+        committed("czs1_masked_v2.bin"),
+    );
+    assert_eq!(store_payload(v1), store_payload(v2));
+    assert!(v2.len() < v1.len(), "{} >= {}", v2.len(), v1.len());
+}
+
 #[test]
 fn committed_corpus_has_registry_magics() {
     // Each fixture must open with its registered little-endian magic — a
-    // cheap tripwire against committing a file under the wrong name.
-    let magics: [(&str, u32); 11] = [
-        ("cliz_plain.bin", 0x434C_495A),
-        ("cliz_periodic_masked.bin", 0x434C_495A),
-        ("clzc_chunked.bin", 0x434C_5A43),
-        ("czs1_store.bin", 0x3153_5A43),
-        ("caf1_archive.bin", 0x4341_4631),
-        ("zlt1_lossless.bin", 0x5A4C_5431),
-        ("szl1_sz3.bin", 0x535A_4C31),
-        ("sz21_sz2.bin", 0x535A_3231),
-        ("zfp1_zfp.bin", 0x5A46_5031),
-        ("qoz1_qoz.bin", 0x514F_5A31),
-        ("spr1_sperr.bin", 0x5350_5231),
+    // cheap tripwire against committing a file under the wrong name — and
+    // the version byte it was written with.
+    let magics: [(&str, u32, u8); 14] = [
+        ("cliz_plain.bin", 0x434C_495A, 1),
+        ("cliz_periodic_masked.bin", 0x434C_495A, 1),
+        ("clzc_chunked.bin", 0x434C_5A43, 1),
+        ("czs1_store.bin", 0x3153_5A43, 1),
+        ("czs1_store_v2.bin", 0x3153_5A43, 2),
+        ("czs1_masked_v1.bin", 0x3153_5A43, 1),
+        ("czs1_masked_v2.bin", 0x3153_5A43, 2),
+        ("caf1_archive.bin", 0x4341_4631, 1),
+        ("zlt1_lossless.bin", 0x5A4C_5431, 1),
+        ("szl1_sz3.bin", 0x535A_4C31, 1),
+        ("sz21_sz2.bin", 0x535A_3231, 1),
+        ("zfp1_zfp.bin", 0x5A46_5031, 1),
+        ("qoz1_qoz.bin", 0x514F_5A31, 1),
+        ("spr1_sperr.bin", 0x5350_5231, 1),
     ];
-    for (name, magic) in magics {
+    for (name, magic, version) in magics {
         let b = committed(name);
         assert!(b.len() > 5, "{name}: implausibly small fixture");
         let got = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
         assert_eq!(got, magic, "{name}: wrong leading magic");
-        assert_eq!(b[4], 1, "{name}: unexpected version byte");
+        assert_eq!(b[4], version, "{name}: unexpected version byte");
+    }
+    for (name, _) in build_corpus() {
+        assert!(!CZS1_V1.contains(&name), "{name}: a decode-only fixture");
     }
 }
 
