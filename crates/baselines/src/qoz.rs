@@ -115,7 +115,9 @@ mod tests {
                 .sum();
             (se / g.len() as f64).sqrt()
         };
-        let b_sz = crate::SzInterp.compress(&g, None, ErrorBound::Abs(eb)).unwrap();
+        let b_sz = crate::SzInterp
+            .compress(&g, None, ErrorBound::Abs(eb))
+            .unwrap();
         let b_qoz = Qoz.compress(&g, None, ErrorBound::Abs(eb)).unwrap();
         let r_sz = rmse(&b_sz, &crate::SzInterp);
         let r_qoz = rmse(&b_qoz, &Qoz);

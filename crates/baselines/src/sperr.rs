@@ -384,7 +384,9 @@ impl Compressor for Sperr {
         let mut esc_it = escapes.into_iter();
         for (c, &s) in coeffs.iter_mut().zip(&symbols) {
             *c = if s == 0 {
-                esc_it.next().ok_or(BaselineError::Corrupt("short escapes"))?
+                esc_it
+                    .next()
+                    .ok_or(BaselineError::Corrupt("short escapes"))?
             } else {
                 unzigzag(s) as f64 * step
             };

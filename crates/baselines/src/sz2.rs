@@ -34,7 +34,11 @@ fn lorenzo_stencil(strides: &[usize]) -> Vec<(usize, f64)> {
             }
         }
         // Inclusion–exclusion: odd subsets add, even subsets subtract.
-        let sign = if bits.count_ones() % 2 == 1 { 1.0 } else { -1.0 };
+        let sign = if bits.count_ones() % 2 == 1 {
+            1.0
+        } else {
+            -1.0
+        };
         out.push((offset, sign));
     }
     out
@@ -278,7 +282,9 @@ mod tests {
         let g = Grid::from_fn(Shape::new(&[16, 16]), |c| {
             2.0 * c[0] as f32 - 3.0 * c[1] as f32 + 1.0
         });
-        let bytes = Sz2Lorenzo.compress(&g, None, ErrorBound::Abs(1e-4)).unwrap();
+        let bytes = Sz2Lorenzo
+            .compress(&g, None, ErrorBound::Abs(1e-4))
+            .unwrap();
         let ratio = (g.len() * 4) as f64 / bytes.len() as f64;
         assert!(ratio > 6.0, "plane should compress extremely: {ratio}");
     }
@@ -286,7 +292,9 @@ mod tests {
     #[test]
     fn compresses_smooth_data() {
         let g = smooth(&[16, 64, 64]);
-        let bytes = Sz2Lorenzo.compress(&g, None, ErrorBound::Abs(1e-3)).unwrap();
+        let bytes = Sz2Lorenzo
+            .compress(&g, None, ErrorBound::Abs(1e-3))
+            .unwrap();
         let ratio = (g.len() * 4) as f64 / bytes.len() as f64;
         assert!(ratio > 4.0, "ratio {ratio}");
     }
@@ -295,7 +303,9 @@ mod tests {
     fn rejects_garbage() {
         assert!(Sz2Lorenzo.decompress(b"nope", None).is_err());
         let g = smooth(&[10, 10]);
-        let bytes = Sz2Lorenzo.compress(&g, None, ErrorBound::Abs(1e-3)).unwrap();
+        let bytes = Sz2Lorenzo
+            .compress(&g, None, ErrorBound::Abs(1e-3))
+            .unwrap();
         assert!(Sz2Lorenzo.decompress(&bytes[..12], None).is_err());
     }
 }

@@ -32,20 +32,25 @@ impl SzInterp {
         let dims = shape.dims();
         let side: Vec<usize> = dims
             .iter()
-            .map(|&d| d.min((32_768f64).powf(1.0 / dims.len() as f64) as usize + 1).max(1))
+            .map(|&d| {
+                d.min((32_768f64).powf(1.0 / dims.len() as f64) as usize + 1)
+                    .max(1)
+            })
             .collect();
-        let start: Vec<usize> = dims
-            .iter()
-            .zip(&side)
-            .map(|(&d, &s)| (d - s) / 2)
-            .collect();
+        let start: Vec<usize> = dims.iter().zip(&side).map(|(&d, &s)| (d - s) / 2).collect();
         let block = data.block(&start, &side);
         let q = LinearQuantizer::new(eb);
         let cost = |fitting: Fitting| -> u64 {
             let params = InterpParams::new(fitting);
             let mut buf = block.as_slice().to_vec();
             let mut symbols = vec![0u32; buf.len()];
-            predict_quantize_leveled(&mut buf, block.shape().dims(), &params, &|_| q, &mut symbols);
+            predict_quantize_leveled(
+                &mut buf,
+                block.shape().dims(),
+                &params,
+                &|_| q,
+                &mut symbols,
+            );
             symbols
                 .iter()
                 .map(|&s| {
@@ -234,7 +239,9 @@ mod tests {
         assert!(SzInterp.decompress(b"junk", None).is_err());
         let g = smooth(&[8, 8]);
         let bytes = SzInterp.compress(&g, None, ErrorBound::Abs(1e-3)).unwrap();
-        assert!(SzInterp.decompress(&bytes[..bytes.len() / 2], None).is_err());
+        assert!(SzInterp
+            .decompress(&bytes[..bytes.len() / 2], None)
+            .is_err());
     }
 
     #[test]
@@ -248,8 +255,12 @@ mod tests {
                 *v = 9.96921e36;
             }
         }
-        let b_clean = SzInterp.compress(&clean, None, ErrorBound::Abs(1e-3)).unwrap();
-        let b_dirty = SzInterp.compress(&dirty, None, ErrorBound::Abs(1e-3)).unwrap();
+        let b_clean = SzInterp
+            .compress(&clean, None, ErrorBound::Abs(1e-3))
+            .unwrap();
+        let b_dirty = SzInterp
+            .compress(&dirty, None, ErrorBound::Abs(1e-3))
+            .unwrap();
         assert!(
             b_dirty.len() > b_clean.len() * 2,
             "fill values should hurt: {} vs {}",

@@ -35,9 +35,7 @@ impl From<cliz_format::FormatError> for BaselineError {
         match e {
             cliz_format::FormatError::Truncated => BaselineError::Truncated,
             cliz_format::FormatError::BadMagic => BaselineError::BadMagic,
-            cliz_format::FormatError::UnsupportedVersion(v) => {
-                BaselineError::UnsupportedVersion(v)
-            }
+            cliz_format::FormatError::UnsupportedVersion(v) => BaselineError::UnsupportedVersion(v),
             cliz_format::FormatError::Corrupt(what) => BaselineError::Corrupt(what),
         }
     }
@@ -65,9 +63,5 @@ pub trait Compressor: Send + Sync {
         bound: ErrorBound,
     ) -> Result<Vec<u8>, BaselineError>;
 
-    fn decompress(
-        &self,
-        bytes: &[u8],
-        mask: Option<&MaskMap>,
-    ) -> Result<Grid<f32>, BaselineError>;
+    fn decompress(&self, bytes: &[u8], mask: Option<&MaskMap>) -> Result<Grid<f32>, BaselineError>;
 }

@@ -146,7 +146,11 @@ fn sequency_order(rank: usize) -> &'static [usize] {
 /// Returns values in natural block order.
 fn decode_block_values(nb_seq: &[u64], rank: usize, emax: i32, kmin: u32) -> Vec<f32> {
     let order = sequency_order(rank);
-    let keep = if kmin == 0 { !0u64 } else { !((1u64 << kmin) - 1) };
+    let keep = if kmin == 0 {
+        !0u64
+    } else {
+        !((1u64 << kmin) - 1)
+    };
     let mut c = vec![0i64; nb_seq.len()];
     for (pos, &i) in order.iter().enumerate() {
         c[i] = uint2int(nb_seq[pos] & keep);
@@ -172,7 +176,10 @@ fn encode_planes(nb: &[u64], kmin: u32, w: &mut BitWriter) {
         if n > 0 {
             if n > 32 {
                 w.write_bits((x & 0xFFFF_FFFF) as u32, 32);
-                w.write_bits(((x >> 32) & ((1u64 << (n - 32)) - 1)) as u32, (n - 32) as u32);
+                w.write_bits(
+                    ((x >> 32) & ((1u64 << (n - 32)) - 1)) as u32,
+                    (n - 32) as u32,
+                );
             } else {
                 w.write_bits((x & ((1u64 << n) - 1)) as u32, n as u32);
             }
@@ -270,7 +277,10 @@ fn encode_block(vals: &[f32], rank: usize, eb: f64, w: &mut BitWriter) {
 
     let emax = max_abs.log2().floor() as i32;
     let scale = 2.0f64.powi(Q_BITS - 1 - emax);
-    let ints: Vec<i64> = vals.iter().map(|&v| (v as f64 * scale).round() as i64).collect();
+    let ints: Vec<i64> = vals
+        .iter()
+        .map(|&v| (v as f64 * scale).round() as i64)
+        .collect();
     let mut coeffs = ints.clone();
     transform_block(&mut coeffs, rank, false);
 
@@ -320,15 +330,17 @@ fn decode_block(r: &mut BitReader, rank: usize) -> Result<Vec<f32>, BaselineErro
         MODE_RAW => {
             let mut out = Vec::with_capacity(n);
             for _ in 0..n {
-                out.push(f32::from_bits(r.read_u32().ok_or(BaselineError::Truncated)?));
+                out.push(f32::from_bits(
+                    r.read_u32().ok_or(BaselineError::Truncated)?,
+                ));
             }
             Ok(out)
         }
         MODE_CODED => {
             let emax = r.read_bits(12).ok_or(BaselineError::Truncated)? as i32 - 1024;
             let kmin = r.read_bits(6).ok_or(BaselineError::Truncated)?;
-            let nb = decode_planes(n, kmin, r)
-                .ok_or(BaselineError::Corrupt("bad bitplane stream"))?;
+            let nb =
+                decode_planes(n, kmin, r).ok_or(BaselineError::Corrupt("bad bitplane stream"))?;
             Ok(decode_block_values(&nb, rank, emax, kmin))
         }
         _ => Err(BaselineError::Corrupt("bad block mode")),
@@ -469,7 +481,13 @@ impl Compressor for Zfp {
         // present: every zfp block costs at least one payload bit and
         // covers at most 4^rank ≤ 4096 elements (rank ≤ 6 per the header
         // check), so a tiny crafted file cannot demand a huge allocation.
-        if total > payload.len().saturating_mul(8).saturating_add(8).saturating_mul(4096) {
+        if total
+            > payload
+                .len()
+                .saturating_mul(8)
+                .saturating_add(8)
+                .saturating_mul(4096)
+        {
             return Err(BaselineError::Corrupt("grid larger than payload"));
         }
         let mut out = vec![0.0f32; total];
@@ -552,7 +570,11 @@ mod tests {
                 let bytes = w.finish();
                 let mut r = BitReader::new(&bytes);
                 let back = decode_planes(nb.len(), kmin, &mut r).expect("decode");
-                let keep = if kmin == 0 { !0u64 } else { !((1u64 << kmin) - 1) };
+                let keep = if kmin == 0 {
+                    !0u64
+                } else {
+                    !((1u64 << kmin) - 1)
+                };
                 for (a, b) in nb.iter().zip(&back) {
                     assert_eq!(a & keep, *b, "kmin {kmin}");
                 }

@@ -10,7 +10,7 @@
 //! cargo run -p cliz-bench --release --bin ablation_classification
 //! ```
 
-use cliz::entropy::{multi_encode, huffman};
+use cliz::entropy::{huffman, multi_encode};
 use cliz::quant::classify::{apply_shifts, classify, ClassifySpec};
 use cliz::quant::{bin_to_symbol, symbol_to_bin};
 use cliz_bench::Report;
@@ -22,7 +22,9 @@ fn synthetic_bins(slices: usize, h_len: usize) -> Vec<u32> {
     let mut out = Vec::with_capacity(slices * h_len);
     let mut state = 0xBEEF_u64;
     let mut rnd = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         (state >> 33) as u32
     };
     // Per-position character: bias in [-1, 1] (the paper observed real
@@ -67,7 +69,12 @@ fn main() {
         let groups = class.group_sequence(shifted.len(), None);
         let bytes = multi_encode(&shifted, &groups, 2).len() + class.marker_bytes().len();
         let delta = (1.0 - bytes as f64 / baseline as f64) * 100.0;
-        println!("{:<28} {:>10} {:>11.2}%", format!("shift j={max_shift}, 2 trees"), bytes, delta);
+        println!(
+            "{:<28} {:>10} {:>11.2}%",
+            format!("shift j={max_shift}, 2 trees"),
+            bytes,
+            delta
+        );
         report.row(&format!("shift_radius,{max_shift},{bytes},{delta}"));
     }
 
@@ -91,9 +98,18 @@ fn main() {
             })
             .collect();
         let bytes = multi_encode(&shifted, &groups, n_groups).len()
-            + if n_groups > 1 { class.marker_bytes().len() } else { 0 };
+            + if n_groups > 1 {
+                class.marker_bytes().len()
+            } else {
+                0
+            };
         let delta = (1.0 - bytes as f64 / baseline as f64) * 100.0;
-        println!("{:<28} {:>10} {:>11.2}%", format!("{n_groups} tree(s), j=1"), bytes, delta);
+        println!(
+            "{:<28} {:>10} {:>11.2}%",
+            format!("{n_groups} tree(s), j=1"),
+            bytes,
+            delta
+        );
         report.row(&format!("group_count,{n_groups},{bytes},{delta}"));
     }
 
@@ -110,7 +126,12 @@ fn main() {
         let groups = class.group_sequence(shifted.len(), None);
         let bytes = multi_encode(&shifted, &groups, 2).len() + class.marker_bytes().len();
         let delta = (1.0 - bytes as f64 / baseline as f64) * 100.0;
-        println!("{:<28} {:>10} {:>11.2}%", format!("lambda={lambda}"), bytes, delta);
+        println!(
+            "{:<28} {:>10} {:>11.2}%",
+            format!("lambda={lambda}"),
+            bytes,
+            delta
+        );
         report.row(&format!("lambda,{lambda},{bytes},{delta}"));
     }
 

@@ -25,10 +25,7 @@ fn main() {
     let tier = ScaledDims::from_args(&args);
     let dataset = datasets::scaled(DatasetKind::Ssh, tier);
     let mask_slice = dataset.mask.as_ref().map(|m| m.as_slice());
-    let mut report = Report::new(
-        "ablation_entropy",
-        "stage,bytes,bits_per_symbol,encode_s",
-    );
+    let mut report = Report::new("ablation_entropy", "stage,bytes,bits_per_symbol,encode_s");
 
     // Produce the real bin stream the encoder would see.
     let (mn, mx) = cliz::valid_min_max(&dataset.data, dataset.mask.as_ref());
@@ -51,9 +48,7 @@ fn main() {
         .map(|(_, &s)| s)
         .collect();
     let n = valid.len();
-    println!(
-        "Entropy-stage ablation on the real SSH bin stream ({n} symbols, rel eb 1e-3)\n"
-    );
+    println!("Entropy-stage ablation on the real SSH bin stream ({n} symbols, rel eb 1e-3)\n");
     println!(
         "{:<34} {:>10} {:>10} {:>10}",
         "stage", "bytes", "bits/sym", "encode_s"
@@ -64,14 +59,19 @@ fn main() {
         let bytes = f();
         let secs = t0.elapsed().as_secs_f64();
         let packed = cliz::lossless::compress(&bytes);
-        for (label, len) in [(name.to_string(), bytes.len()), (format!("{name} + zlite"), packed.len())] {
+        for (label, len) in [
+            (name.to_string(), bytes.len()),
+            (format!("{name} + zlite"), packed.len()),
+        ] {
             let bps = (len * 8) as f64 / n as f64;
             println!("{label:<34} {len:>10} {bps:>10.4} {secs:>10.3}");
             report.row(&format!("{label},{len},{bps},{secs}"));
         }
     };
 
-    run("single Huffman (SZ3 stage)", &|| huffman::encode_stream(&valid));
+    run("single Huffman (SZ3 stage)", &|| {
+        huffman::encode_stream(&valid)
+    });
 
     // Multi-Huffman with the real classification map.
     let h_len = dims[dims.len() - 2] * dims[dims.len() - 1];

@@ -29,7 +29,9 @@ fn main() {
         },
         ..PipelineConfig::default_for(3)
     };
-    let ErrorBound::Abs(eb) = bound else { unreachable!() };
+    let ErrorBound::Abs(eb) = bound else {
+        unreachable!()
+    };
 
     println!(
         "Template-bound ablation on {} {} (residual bound fixed at {eb:.3e})\n",

@@ -25,7 +25,11 @@ fn main() {
             "\n=== {} {} ({} candidate pipelines expected)",
             kind.name(),
             dataset.data.shape(),
-            if dataset.nominal_period.is_some() { 192 } else { 96 }
+            if dataset.nominal_period.is_some() {
+                192
+            } else {
+                96
+            }
         );
         println!(
             "{:>10} {:>10} {:>12} {:>10} {:>14}",
@@ -45,8 +49,8 @@ fn main() {
 
             // Compression of the full data under the estimated-best pipeline.
             let t0 = std::time::Instant::now();
-            let _ = cliz::compress(&dataset.data, dataset.mask.as_ref(), bound, &result.best)
-                .unwrap();
+            let _ =
+                cliz::compress(&dataset.data, dataset.mask.as_ref(), bound, &result.best).unwrap();
             let full_s = t0.elapsed().as_secs_f64();
 
             println!(

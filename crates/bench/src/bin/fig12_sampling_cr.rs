@@ -18,10 +18,7 @@ fn main() {
     let dataset = datasets::scaled(DatasetKind::Ssh, tier);
     let bound = cliz::rel_bound_on_valid(&dataset.data, dataset.mask.as_ref(), 1e-3);
     let rates = [1.0, 0.1, 0.01, 1e-3];
-    let mut report = Report::new(
-        "fig12_sampling_cr",
-        "pipeline,rank_at_full,rate,est_ratio",
-    );
+    let mut report = Report::new("fig12_sampling_cr", "pipeline,rank_at_full,rate,est_ratio");
 
     // Estimates per pipeline (keyed by description) per rate.
     let mut per_rate: Vec<HashMap<String, f64>> = Vec::new();
@@ -46,10 +43,7 @@ fn main() {
     }
 
     // Order pipelines by the rate=1 ("precise") estimate.
-    let mut order: Vec<(String, f64)> = per_rate[0]
-        .iter()
-        .map(|(k, &v)| (k.clone(), v))
-        .collect();
+    let mut order: Vec<(String, f64)> = per_rate[0].iter().map(|(k, &v)| (k.clone(), v)).collect();
     order.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
 
     println!(
@@ -58,7 +52,10 @@ fn main() {
         dataset.data.shape(),
         order.len()
     );
-    println!("{:<66} {:>8} {:>8} {:>8} {:>8}", "pipeline (sorted by rate=1 estimate)", "100%", "10%", "1%", "0.1%");
+    println!(
+        "{:<66} {:>8} {:>8} {:>8} {:>8}",
+        "pipeline (sorted by rate=1 estimate)", "100%", "10%", "1%", "0.1%"
+    );
     for (rank, (desc, _)) in order.iter().enumerate() {
         let cells: Vec<String> = per_rate
             .iter()
@@ -81,12 +78,13 @@ fn main() {
 
     // Ordering stability: the rate=1 winner must stay near the top at 1%.
     let winner = &order[0].0;
-    let mut at_1pct: Vec<(String, f64)> = per_rate[2]
-        .iter()
-        .map(|(k, &v)| (k.clone(), v))
-        .collect();
+    let mut at_1pct: Vec<(String, f64)> =
+        per_rate[2].iter().map(|(k, &v)| (k.clone(), v)).collect();
     at_1pct.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-    let pos = at_1pct.iter().position(|(k, _)| k == winner).unwrap_or(usize::MAX);
+    let pos = at_1pct
+        .iter()
+        .position(|(k, _)| k == winner)
+        .unwrap_or(usize::MAX);
     println!(
         "\nfull-data winner ranks #{} of {} under 1% sampling (paper: near-stable ordering)",
         pos + 1,

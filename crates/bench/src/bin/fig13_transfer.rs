@@ -108,7 +108,9 @@ fn main() {
         for m in &members {
             let bound = cliz::rel_bound_on_valid(&m.data, m.mask.as_ref(), rel);
             let t0 = std::time::Instant::now();
-            let bytes = compressor.compress(&m.data, m.mask.as_ref(), bound).unwrap();
+            let bytes = compressor
+                .compress(&m.data, m.mask.as_ref(), bound)
+                .unwrap();
             times.push(t0.elapsed().as_secs_f64());
             let recon = compressor.decompress(&bytes, m.mask.as_ref()).unwrap();
             psnr_sum += cliz::metrics::psnr(m.data.as_slice(), recon.as_slice(), m.mask.as_ref());

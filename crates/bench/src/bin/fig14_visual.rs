@@ -62,14 +62,16 @@ fn main() {
     let mask_grid =
         cliz::grid::Grid::from_vec(dataset.data.shape().clone(), mask.as_slice().to_vec());
     let slice_mask = MaskMap::from_flags(
-        cliz::grid::Shape::new(&[
-            dataset.data.shape().dim(0),
-            dataset.data.shape().dim(1),
-        ]),
+        cliz::grid::Shape::new(&[dataset.data.shape().dim(0), dataset.data.shape().dim(1)]),
         mask_grid.slice2d(0, 1, &fixed).into_vec(),
     );
     let orig_slice = dataset.data.slice2d(0, 1, &fixed);
-    write_pgm(&dir.join("fig14_original.pgm"), &orig_slice, Some(&slice_mask)).unwrap();
+    write_pgm(
+        &dir.join("fig14_original.pgm"),
+        &orig_slice,
+        Some(&slice_mask),
+    )
+    .unwrap();
 
     println!(
         "Fig. 14 — visual quality at matched ratio ≈ {target_ratio}x ({} {})\n",

@@ -23,7 +23,10 @@ fn main() {
         dataset.kind.name(),
         dataset.data.shape()
     );
-    println!("{:<6} {:<8} {:>9} {:>8}", "perm", "fusion", "bitrate", "ratio");
+    println!(
+        "{:<6} {:<8} {:>9} {:>8}",
+        "perm", "fusion", "bitrate", "ratio"
+    );
 
     let mut best: Option<(f64, String)> = None;
     let mut worst: Option<(f64, String)> = None;

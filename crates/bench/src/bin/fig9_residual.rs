@@ -20,24 +20,12 @@ fn main() {
     let time_axis = dataset.time_axis.unwrap();
     let period = dataset.nominal_period.unwrap();
     let mask = dataset.mask.clone().expect("SSH is masked");
-    let mut report = Report::new(
-        "fig9_residual",
-        "field,axis,mean_abs_diff,max_abs_diff",
-    );
+    let mut report = Report::new("fig9_residual", "field,axis,mean_abs_diff,max_abs_diff");
 
     // Template + residual, exactly as the compressor does it.
-    let template = cliz::periodic::build_template(
-        &dataset.data,
-        Some(&mask),
-        time_axis,
-        period,
-    );
-    let residual = cliz::periodic::subtract_template(
-        &dataset.data,
-        &template,
-        Some(&mask),
-        time_axis,
-    );
+    let template = cliz::periodic::build_template(&dataset.data, Some(&mask), time_axis, period);
+    let residual =
+        cliz::periodic::subtract_template(&dataset.data, &template, Some(&mask), time_axis);
 
     // Smoothness along the two spatial axes (0 = lat, 1 = lon), valid only.
     println!(
@@ -68,17 +56,25 @@ fn main() {
     let fixed = vec![0, 0, t_mid];
     let orig_slice = dataset.data.slice2d(0, 1, &fixed);
     let res_slice = residual.slice2d(0, 1, &fixed);
-    let mask_grid = cliz::grid::Grid::from_vec(
-        dataset.data.shape().clone(),
-        mask.as_slice().to_vec(),
-    );
+    let mask_grid =
+        cliz::grid::Grid::from_vec(dataset.data.shape().clone(), mask.as_slice().to_vec());
     let slice_mask = MaskMap::from_flags(
         orig_slice.shape().clone(),
         mask_grid.slice2d(0, 1, &fixed).into_vec(),
     );
     let dir = Path::new("target/experiments");
-    write_pgm(&dir.join("fig9_original_slice.pgm"), &orig_slice, Some(&slice_mask)).unwrap();
-    write_pgm(&dir.join("fig9_residual_slice.pgm"), &res_slice, Some(&slice_mask)).unwrap();
+    write_pgm(
+        &dir.join("fig9_original_slice.pgm"),
+        &orig_slice,
+        Some(&slice_mask),
+    )
+    .unwrap();
+    write_pgm(
+        &dir.join("fig9_residual_slice.pgm"),
+        &res_slice,
+        Some(&slice_mask),
+    )
+    .unwrap();
     println!("\nslices written to target/experiments/fig9_{{original,residual}}_slice.pgm");
 
     // Residual variance must collapse relative to the original's seasonal swing.

@@ -15,10 +15,7 @@ use cliz::data::ClimateDataset;
 use cliz::prelude::*;
 use cliz_bench::{Args, Report, ScaledDims};
 
-fn ratio(
-    field: &ClimateDataset,
-    config: &PipelineConfig,
-) -> f64 {
+fn ratio(field: &ClimateDataset, config: &PipelineConfig) -> f64 {
     let bound = cliz::rel_bound_on_valid(&field.data, field.mask.as_ref(), 1e-3);
     let bytes = cliz::compress(&field.data, field.mask.as_ref(), bound, config).unwrap();
     (field.data.len() * 4) as f64 / bytes.len() as f64
@@ -49,10 +46,7 @@ fn main() {
         ScaledDims::Quick => &[5, 32, 28, 36],
         _ => &[10, 64, 56, 60],
     };
-    let mut report = Report::new(
-        "shared_config",
-        "field,config_source,ratio,tuning_s",
-    );
+    let mut report = Report::new("shared_config", "field,config_source,ratio,tuning_s");
 
     // --- ocean-surface family: tune on SSH member 0 ---
     let train = cliz::data::ssh(d3, 500);
@@ -77,9 +71,7 @@ fn main() {
         let (own, _) = tune(field, false);
         let r_own = ratio(field, &own);
         let r_untuned = ratio(field, &PipelineConfig::default_for(3));
-        println!(
-            "{name:<22} {r_shared:>10.2} {r_fast:>10.2} {r_own:>10.2} {r_untuned:>10.2}"
-        );
+        println!("{name:<22} {r_shared:>10.2} {r_fast:>10.2} {r_own:>10.2} {r_untuned:>10.2}");
         report.row(&format!("{name},shared,{r_shared},{shared_s}"));
         report.row(&format!("{name},own,{r_own},"));
         report.row(&format!("{name},untuned,{r_untuned},"));

@@ -150,7 +150,9 @@ fn symbol_stream(n: usize) -> Vec<u32> {
     let mut state = 0x2545F491_4F6CDD1Du64;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         let r = ((state >> 40) as u32) | 1;
         // leading_zeros of a 24-bit draw: geometric with ratio ~1/2.
         out.push((r.leading_zeros() - 8).min(40));
@@ -166,7 +168,9 @@ fn residual_bytes(n: usize) -> Vec<u8> {
     let mut state = 0x9E3779B9_7F4A7C15u64;
     let mut out = Vec::with_capacity(n);
     while out.len() < n {
-        state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+        state = state
+            .wrapping_mul(2862933555777941757)
+            .wrapping_add(3037000493);
         let run = 3 + ((state >> 48) as usize & 31);
         let byte = ((state >> 32) & 0x7) as u8;
         for _ in 0..run.min(n - out.len()) {
@@ -327,7 +331,13 @@ impl Stage {
 fn main() {
     let args = Args::parse();
     let (tier, n_syms, n_bytes, dims, reps) = if args.quick {
-        ("quick", 200_000usize, 1usize << 20, vec![16, 48, 48], 3usize)
+        (
+            "quick",
+            200_000usize,
+            1usize << 20,
+            vec![16, 48, 48],
+            3usize,
+        )
     } else if args.full {
         ("full", 16_000_000, 48 << 20, vec![64, 384, 384], 5)
     } else {
@@ -628,7 +638,11 @@ fn main() {
     for (name, got, min) in gates {
         println!(
             "{name:<26} speedup over pre-rewrite reference: {got:.2}x (gate {min}x, {})",
-            if gated { "enforced" } else { "quick tier: not enforced" }
+            if gated {
+                "enforced"
+            } else {
+                "quick tier: not enforced"
+            }
         );
         if gated && got < min {
             eprintln!("FAIL: {name} speedup {got:.2}x below the {min}x gate");

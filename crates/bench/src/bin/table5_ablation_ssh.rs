@@ -83,7 +83,16 @@ fn main() {
     );
     println!(
         "{:<22} {:>8} {:>6} {:>6} {:>7} {:>7} {:>9} {:>10} {:>8} {:>10}",
-        "case", "period", "class", "perm", "fusion", "fit", "ratio", "CR impr", "time_s", "time incr"
+        "case",
+        "period",
+        "class",
+        "perm",
+        "fusion",
+        "fit",
+        "ratio",
+        "CR impr",
+        "time_s",
+        "time incr"
     );
 
     // Optimal, then each strategy cancelled (the paper's column layout).
@@ -91,24 +100,59 @@ fn main() {
 
     let mut no_mask = tuned.clone();
     no_mask.use_mask = false;
-    run("mask off", &dataset, bound, &no_mask, Some(opt), &mut report);
+    run(
+        "mask off",
+        &dataset,
+        bound,
+        &no_mask,
+        Some(opt),
+        &mut report,
+    );
 
     let mut no_class = tuned.clone();
     no_class.classification = false;
     let mut with_class = tuned.clone();
     with_class.classification = true;
     // Paper table reports classification-on as optimal; show both states.
-    run("classification off", &dataset, bound, &no_class, Some(opt), &mut report);
-    run("classification on", &dataset, bound, &with_class, Some(opt), &mut report);
+    run(
+        "classification off",
+        &dataset,
+        bound,
+        &no_class,
+        Some(opt),
+        &mut report,
+    );
+    run(
+        "classification on",
+        &dataset,
+        bound,
+        &with_class,
+        Some(opt),
+        &mut report,
+    );
 
     let mut no_perm = tuned.clone();
     no_perm.permutation = (0..3).collect();
     no_perm.fusion = FusionSpec::none();
-    run("perm+fusion off", &dataset, bound, &no_perm, Some(opt), &mut report);
+    run(
+        "perm+fusion off",
+        &dataset,
+        bound,
+        &no_perm,
+        Some(opt),
+        &mut report,
+    );
 
     let mut no_period = tuned.clone();
     no_period.periodicity = Periodicity::None;
-    run("periodicity off", &dataset, bound, &no_period, Some(opt), &mut report);
+    run(
+        "periodicity off",
+        &dataset,
+        bound,
+        &no_period,
+        Some(opt),
+        &mut report,
+    );
 
     // λ sweep (extension backing Theorem 2): classification quality around 0.4.
     println!("\nλ sweep (classification threshold; Theorem 2 optimum is 0.4):");

@@ -19,7 +19,11 @@ fn main() {
         "dataset,compressor,compress_mb_s,decompress_mb_s,ratio",
     );
 
-    for kind in [DatasetKind::Ssh, DatasetKind::CesmT, DatasetKind::HurricaneT] {
+    for kind in [
+        DatasetKind::Ssh,
+        DatasetKind::CesmT,
+        DatasetKind::HurricaneT,
+    ] {
         let dataset = datasets::scaled(kind, tier);
         let bound = cliz::rel_bound_on_valid(&dataset.data, dataset.mask.as_ref(), 1e-3);
         let mb = (dataset.data.len() * 4) as f64 / 1e6;

@@ -92,6 +92,9 @@ mod tests {
     fn full_matches_table3() {
         // Spot check the smallest full dataset to avoid generating giants.
         let d = scaled(DatasetKind::Soilliq, ScaledDims::Full);
-        assert_eq!(d.data.shape().dims(), DatasetKind::Soilliq.paper_dims().as_slice());
+        assert_eq!(
+            d.data.shape().dims(),
+            DatasetKind::Soilliq.paper_dims().as_slice()
+        );
     }
 }

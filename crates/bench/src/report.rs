@@ -40,8 +40,7 @@ mod tests {
         r.row("1,2");
         r.row("3,4");
         drop(r);
-        let content =
-            std::fs::read_to_string("target/experiments/unit_test_report.csv").unwrap();
+        let content = std::fs::read_to_string("target/experiments/unit_test_report.csv").unwrap();
         assert_eq!(content, "a,b\n1,2\n3,4\n");
     }
 }

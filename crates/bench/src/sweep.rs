@@ -22,11 +22,7 @@ pub struct RdPoint {
 /// tolerance is resolved on the valid value range for every compressor so
 /// mask-blind baselines are held to the same fidelity target (distortion is
 /// likewise measured on valid points only, as climate evaluations do).
-pub fn rd_point(
-    compressor: &dyn Compressor,
-    dataset: &ClimateDataset,
-    rel_eb: f64,
-) -> RdPoint {
+pub fn rd_point(compressor: &dyn Compressor, dataset: &ClimateDataset, rel_eb: f64) -> RdPoint {
     let bound = cliz::rel_bound_on_valid(&dataset.data, dataset.mask.as_ref(), rel_eb);
 
     let t0 = std::time::Instant::now();

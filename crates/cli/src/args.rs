@@ -108,11 +108,7 @@ impl Parsed {
             .ok_or_else(|| CliError::new(format!("missing --{key}")))
     }
 
-    pub fn parse_option<T: std::str::FromStr>(
-        &self,
-        key: &str,
-        default: T,
-    ) -> Result<T, CliError> {
+    pub fn parse_option<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
         match self.option(key) {
             None => Ok(default),
             Some(v) => v
@@ -132,8 +128,10 @@ mod tests {
 
     #[test]
     fn parses_command_positionals_options() {
-        let p = Parsed::parse(&sv(&["compress", "in.caf", "-o", "out.cz", "--rel", "1e-3"]))
-            .unwrap();
+        let p = Parsed::parse(&sv(&[
+            "compress", "in.caf", "-o", "out.cz", "--rel", "1e-3",
+        ]))
+        .unwrap();
         assert_eq!(p.command, "compress");
         assert_eq!(p.positionals, vec!["in.caf"]);
         assert_eq!(p.option("out"), Some("out.cz"));
@@ -145,7 +143,9 @@ mod tests {
         let p = Parsed::parse(&sv(&["query", "s.czs", "--stats", "--region", "0:4,:"])).unwrap();
         assert!(p.flag("stats"));
         assert_eq!(p.option("region"), Some("0:4,:"));
-        assert!(!Parsed::parse(&sv(&["query", "s.czs"])).unwrap().flag("stats"));
+        assert!(!Parsed::parse(&sv(&["query", "s.czs"]))
+            .unwrap()
+            .flag("stats"));
     }
 
     #[test]

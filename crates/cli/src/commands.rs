@@ -132,7 +132,9 @@ pub fn tune(p: &Parsed, report: &mut dyn Write) -> Result<(), CliError> {
     // The block sampler asserts a rate in (0, 1]; NaN fails this test too.
     if !(rate > 0.0 && rate <= 1.0) {
         let text = p.option("rate").unwrap_or_default();
-        return Err(CliError::new(format!("--rate must be in (0, 1], got {text}")));
+        return Err(CliError::new(format!(
+            "--rate must be in (0, 1], got {text}"
+        )));
     }
     let rel = parse_tolerance("rel", p.option("rel").unwrap_or("1e-3"))?;
     let out = p.required("out")?;
@@ -205,9 +207,13 @@ pub fn compress(p: &Parsed, report: &mut dyn Write) -> Result<(), CliError> {
         None => None,
         Some(f) => {
             if !is_cliz {
-                return Err(CliError::new("--config only applies to the cliz compressor"));
+                return Err(CliError::new(
+                    "--config only applies to the cliz compressor",
+                ));
             }
-            Some(PipelineConfig::from_config_string(&std::fs::read_to_string(f)?)?)
+            Some(PipelineConfig::from_config_string(
+                &std::fs::read_to_string(f)?,
+            )?)
         }
     };
     let masked = is_cliz
@@ -339,7 +345,12 @@ pub fn pack_store(p: &Parsed, report: &mut dyn Write) -> Result<(), CliError> {
     let bytes = cliz_store::pack_store(&ds, bound, &config, chunk, threads)?;
     cliz_store::write_atomic(Path::new(out), |w| w.write_all(&bytes))?;
     let original = ds.data.len() * 4;
-    let n_chunks = ds.data.shape().dims().first().map_or(1, |&d| d.div_ceil(chunk));
+    let n_chunks = ds
+        .data
+        .shape()
+        .dims()
+        .first()
+        .map_or(1, |&d| d.div_ceil(chunk));
     writeln!(
         report,
         "packed {} -> {} ({} chunks of {} rows, {} -> {} bytes, ratio {:.2}x) in {:.2}s",
@@ -455,12 +466,7 @@ pub fn fetch(p: &Parsed, report: &mut dyn Write) -> Result<(), CliError> {
     let spec = p.required("region")?;
     let mut client = cliz_serve::Client::connect(addr)?;
     let pairs = client.info()?;
-    let find = |key: &str| {
-        pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
-    };
+    let find = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
     let name = find("variable").ok_or_else(|| CliError::new("server INFO lacks a variable"))?;
 
     let t0 = std::time::Instant::now();
@@ -519,11 +525,8 @@ pub fn eval(p: &Parsed, report: &mut dyn Write) -> Result<(), CliError> {
         return Err(CliError::new("shape mismatch between files"));
     }
     let mask = orig.mask.as_ref();
-    let stats = cliz::metrics::error::error_stats(
-        orig.data.as_slice(),
-        recon.data.as_slice(),
-        mask,
-    );
+    let stats =
+        cliz::metrics::error::error_stats(orig.data.as_slice(), recon.data.as_slice(), mask);
     let ssim = cliz::metrics::ssim(
         &orig.data,
         &recon.data,
@@ -537,13 +540,8 @@ pub fn eval(p: &Parsed, report: &mut dyn Write) -> Result<(), CliError> {
     writeln!(report, "SSIM:            {ssim:.6}")?;
 
     // Z-checker-style distribution diagnostics.
-    let analysis = cliz::metrics::analyze_errors(
-        orig.data.as_slice(),
-        recon.data.as_slice(),
-        mask,
-        21,
-        8,
-    );
+    let analysis =
+        cliz::metrics::analyze_errors(orig.data.as_slice(), recon.data.as_slice(), mask, 21, 8);
     writeln!(report, "pearson:         {:.8}", analysis.pearson)?;
     writeln!(report, "error bias:      {:+.3e}", analysis.mean_error)?;
     writeln!(

@@ -177,7 +177,14 @@ mod tests {
 
     #[test]
     fn codec_names_roundtrip() {
-        for c in [Codec::Cliz, Codec::Sz3, Codec::Sz2, Codec::Zfp, Codec::Sperr, Codec::Qoz] {
+        for c in [
+            Codec::Cliz,
+            Codec::Sz3,
+            Codec::Sz2,
+            Codec::Zfp,
+            Codec::Sperr,
+            Codec::Qoz,
+        ] {
             assert_eq!(Codec::from_name(c.name()), Some(c));
             assert_eq!(Codec::from_id(c as u8), Some(c));
         }

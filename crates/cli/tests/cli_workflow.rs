@@ -72,15 +72,19 @@ fn masked_stream_requires_mask() {
 fn baseline_compressors_via_cli() {
     let dir = workdir("baselines");
     let caf = dir.join("h.caf").display().to_string();
-    run(&[
-        "gen", "hurricane-t", "--dims", "8,32,32", "-o", &caf,
-    ])
-    .unwrap();
+    run(&["gen", "hurricane-t", "--dims", "8,32,32", "-o", &caf]).unwrap();
     for codec in ["sz3", "sz2", "zfp", "sperr", "qoz"] {
         let cz = dir.join(format!("h_{codec}.cz")).display().to_string();
         let out = dir.join(format!("h_{codec}.caf")).display().to_string();
         run(&[
-            "compress", &caf, "--compressor", codec, "--rel", "1e-2", "-o", &cz,
+            "compress",
+            &caf,
+            "--compressor",
+            codec,
+            "--rel",
+            "1e-2",
+            "-o",
+            &cz,
         ])
         .unwrap_or_else(|e| panic!("{codec}: {e}"));
         run(&["decompress", &cz, "-o", &out]).unwrap();
@@ -133,15 +137,7 @@ fn chunked_mode_roundtrips() {
     let caf = dir.join("c.caf").display().to_string();
     let cz = dir.join("c.cz").display().to_string();
     let out = dir.join("c_out.caf").display().to_string();
-    run(&[
-        "gen",
-        "hurricane-t",
-        "--dims",
-        "16,24,24",
-        "-o",
-        &caf,
-    ])
-    .unwrap();
+    run(&["gen", "hurricane-t", "--dims", "16,24,24", "-o", &caf]).unwrap();
     let orig = write_chunked_cz(&caf, &cz);
     run(&["decompress", &cz, "-o", &out]).unwrap();
     let recon = cliz_store::load(std::path::Path::new(&out)).unwrap();
@@ -153,15 +149,7 @@ fn chunked_mode_roundtrips() {
     // A masked one still needs the mask it was compressed against.
     let masked_caf = dir.join("m.caf").display().to_string();
     let masked_cz = dir.join("m.cz").display().to_string();
-    run(&[
-        "gen",
-        "ssh",
-        "--dims",
-        "12,20,24",
-        "-o",
-        &masked_caf,
-    ])
-    .unwrap();
+    run(&["gen", "ssh", "--dims", "12,20,24", "-o", &masked_caf]).unwrap();
     let orig = write_chunked_cz(&masked_caf, &masked_cz);
     assert!(orig.mask.is_some());
     let err = run(&["decompress", &masked_cz, "-o", &out]).unwrap_err();
@@ -301,8 +289,10 @@ fn cross_variable_config_transfer() {
     // second variable instead: another member field compressed with the
     // shared config (tsfc has the same [lat, lon, time] layout).
     run(&["gen", "tsfc", "--dims", "32,28,72", "-o", &salt]).unwrap();
-    run(&["compress", &salt, "--config", &cfg, "--rel", "1e-3", "-o", &cz])
-        .unwrap();
+    run(&[
+        "compress", &salt, "--config", &cfg, "--rel", "1e-3", "-o", &cz,
+    ])
+    .unwrap();
     run(&["decompress", &cz, "--mask-from", &salt, "-o", &out]).unwrap();
     let orig = cliz_store::load(std::path::Path::new(&salt)).unwrap();
     let recon = cliz_store::load(std::path::Path::new(&out)).unwrap();
@@ -322,10 +312,7 @@ fn abs_and_rel_are_exclusive() {
     let caf = dir.join("x.caf").display().to_string();
     let cz = dir.join("x.cz").display().to_string();
     run(&["gen", "hurricane-t", "--dims", "4,16,16", "-o", &caf]).unwrap();
-    assert!(run(&[
-        "compress", &caf, "--abs", "0.1", "--rel", "1e-3", "-o", &cz
-    ])
-    .is_err());
+    assert!(run(&["compress", &caf, "--abs", "0.1", "--rel", "1e-3", "-o", &cz]).is_err());
     // Absolute bound alone works.
     run(&["compress", &caf, "--abs", "0.1", "-o", &cz]).unwrap();
 }
@@ -373,8 +360,7 @@ fn tune_rate_outside_unit_interval_is_a_usage_error() {
     run(&["gen", "hurricane-t", "--dims", "4,16,16", "-o", &caf]).unwrap();
     for rate in ["0", "-0.5", "1.5", "nan", "inf"] {
         // An error naming the option, not a panic inside the block sampler.
-        let err = run(&["tune", &caf, "--rate", rate, "-o", &cfg])
-            .expect_err("bad rate accepted");
+        let err = run(&["tune", &caf, "--rate", rate, "-o", &cfg]).expect_err("bad rate accepted");
         assert!(err.message.contains("--rate"), "{rate}: {}", err.message);
     }
 }
@@ -391,8 +377,7 @@ fn tune_with_out_of_range_time_axis_is_an_error() {
     cliz_store::save(&caf, &ds).unwrap();
     // An error naming the time axis, not a panic inside period detection.
     let caf = caf.display().to_string();
-    let err = run(&["tune", &caf, "-o", &cfg])
-        .expect_err("out-of-range time axis accepted");
+    let err = run(&["tune", &caf, "-o", &cfg]).expect_err("out-of-range time axis accepted");
     assert!(err.message.contains("time axis"), "{}", err.message);
 }
 
@@ -411,7 +396,9 @@ fn golden_czfile() -> cliz_cli::czfile::CzFile {
         dim_names: vec!["lat".into(), "lon".into()],
         attrs: vec![("units".into(), "K".into()), ("period".into(), "12".into())],
         masked: false,
-        payload: (0..256u32).map(|i| (i.wrapping_mul(97) >> 3) as u8).collect(),
+        payload: (0..256u32)
+            .map(|i| (i.wrapping_mul(97) >> 3) as u8)
+            .collect(),
     }
 }
 
@@ -452,7 +439,14 @@ fn serve_and_fetch_mirror_local_query() {
     let port_file = dir.join("port").display().to_string();
     run(&["gen", "hurricane-t", "--dims", "24,16,16", "-o", &caf]).unwrap();
     run(&[
-        "pack-store", &caf, "--chunk", "4", "--rel", "1e-3", "-o", &czs,
+        "pack-store",
+        &caf,
+        "--chunk",
+        "4",
+        "--rel",
+        "1e-3",
+        "-o",
+        &czs,
     ])
     .unwrap();
 
@@ -463,7 +457,12 @@ fn serve_and_fetch_mirror_local_query() {
     let pf_bg = port_file.clone();
     std::thread::spawn(move || {
         let _ = run(&[
-            "serve", &czs_bg, "--addr", "127.0.0.1:0", "--port-file", &pf_bg,
+            "serve",
+            &czs_bg,
+            "--addr",
+            "127.0.0.1:0",
+            "--port-file",
+            &pf_bg,
         ]);
     });
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -473,15 +472,17 @@ fn serve_and_fetch_mirror_local_query() {
                 break s;
             }
         }
-        assert!(std::time::Instant::now() < deadline, "serve never wrote the port file");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "serve never wrote the port file"
+        );
         std::thread::sleep(std::time::Duration::from_millis(20));
     };
 
     // A remote fetch writes byte-for-byte what a local query writes.
     let spec = "3:14,2:9,:";
     run(&["fetch", &addr, "--region", spec, "-o", &fetched]).unwrap();
-    run(&["query", &czs, "--region", spec, "--stats", "-o", &queried])
-        .unwrap();
+    run(&["query", &czs, "--region", spec, "--stats", "-o", &queried]).unwrap();
     let a = std::fs::read(&fetched).unwrap();
     let b = std::fs::read(&queried).unwrap();
     assert_eq!(a, b, "fetch -o and query -o diverged");

@@ -45,13 +45,13 @@ impl DatasetKind {
     /// Paper Table III dimensions, in this crate's storage order.
     pub fn paper_dims(&self) -> Vec<usize> {
         match self {
-            DatasetKind::Ssh => vec![384, 320, 1032],       // lat × lon × time
-            DatasetKind::CesmT => vec![26, 1800, 3600],     // height × lat × lon
+            DatasetKind::Ssh => vec![384, 320, 1032], // lat × lon × time
+            DatasetKind::CesmT => vec![26, 1800, 3600], // height × lat × lon
             DatasetKind::Relhum => vec![26, 1800, 3600],
             DatasetKind::Soilliq => vec![360, 15, 96, 144], // time × depth × lat × lon
             DatasetKind::Tsfc => vec![384, 320, 360],       // lat × lon × time
             DatasetKind::HurricaneT => vec![100, 500, 500], // height × y × x
-            DatasetKind::Salt => vec![30, 384, 320, 120], // depth × lat × lon × time
+            DatasetKind::Salt => vec![30, 384, 320, 120],   // depth × lat × lon × time
         }
     }
 }
@@ -79,7 +79,14 @@ impl ClimateDataset {
 /// (fill values), annual cycle along time, smooth mesoscale spatial field.
 pub fn ssh(dims: &[usize; 3], seed: u64) -> ClimateDataset {
     let [nlat, nlon, ntime] = *dims;
-    let terrain = terrain_field(nlat, nlon, TerrainSpec { seed, ..TerrainSpec::default() });
+    let terrain = terrain_field(
+        nlat,
+        nlon,
+        TerrainSpec {
+            seed,
+            ..TerrainSpec::default()
+        },
+    );
     let rough = gradient_magnitude(&terrain);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x55AA);
 
@@ -90,7 +97,11 @@ pub fn ssh(dims: &[usize; 3], seed: u64) -> ClimateDataset {
     for lat in 0..nlat {
         let lat_frac = lat as f64 / nlat as f64;
         // Hemispheres out of phase, stronger cycle at mid-latitudes.
-        let hemi = if lat < nlat / 2 { 0.0 } else { std::f64::consts::PI };
+        let hemi = if lat < nlat / 2 {
+            0.0
+        } else {
+            std::f64::consts::PI
+        };
         for lon in 0..nlon {
             let t2 = terrain.get(&[lat, lon]);
             let is_ocean = t2 <= 0.2;
@@ -158,7 +169,14 @@ fn atmosphere_field(
     noise_scale: f64,
 ) -> ClimateDataset {
     let [nh, nlat, nlon] = *dims;
-    let terrain = terrain_field(nlat, nlon, TerrainSpec { seed, ..TerrainSpec::default() });
+    let terrain = terrain_field(
+        nlat,
+        nlon,
+        TerrainSpec {
+            seed,
+            ..TerrainSpec::default()
+        },
+    );
     let rough = gradient_magnitude(&terrain);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA7A7);
 
@@ -192,10 +210,7 @@ fn atmosphere_field(
                 let topo = terrain.get(&[lat, lon]) as f64;
                 let r = rough.get(&[lat, lon]) as f64;
                 let noise: f64 = rng.random_range(-1.0..1.0);
-                let v = level_h
-                    + lat_p
-                    + lon_p
-                    - 6.0 * topo.max(0.0) * surf_w
+                let v = level_h + lat_p + lon_p - 6.0 * topo.max(0.0) * surf_w
                     + noise * noise_scale * (0.3 + 3.0 * r) * surf_w;
                 data.push(v as f32);
             }
@@ -215,7 +230,14 @@ fn atmosphere_field(
 /// masked for it, driving CliZ's biggest win).
 pub fn soilliq(dims: &[usize; 4], seed: u64) -> ClimateDataset {
     let [ntime, ndepth, nlat, nlon] = *dims;
-    let terrain = terrain_field(nlat, nlon, TerrainSpec { seed, ..TerrainSpec::default() });
+    let terrain = terrain_field(
+        nlat,
+        nlon,
+        TerrainSpec {
+            seed,
+            ..TerrainSpec::default()
+        },
+    );
     let mut rng = StdRng::seed_from_u64(seed ^ 0x50_11);
 
     let shape = Shape::new(dims);
@@ -261,7 +283,14 @@ pub fn soilliq(dims: &[usize; 4], seed: u64) -> ClimateDataset {
 /// workflow across *different* variables of the same model.
 pub fn salt(dims: &[usize; 4], seed: u64) -> ClimateDataset {
     let [ndepth, nlat, nlon, ntime] = *dims;
-    let terrain = terrain_field(nlat, nlon, TerrainSpec { seed, ..TerrainSpec::default() });
+    let terrain = terrain_field(
+        nlat,
+        nlon,
+        TerrainSpec {
+            seed,
+            ..TerrainSpec::default()
+        },
+    );
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5A17);
 
     let shape = Shape::new(dims);
@@ -310,7 +339,14 @@ pub fn salt(dims: &[usize; 4], seed: u64) -> ClimateDataset {
 /// poles and on high terrain; strong annual cycle.
 pub fn tsfc(dims: &[usize; 3], seed: u64) -> ClimateDataset {
     let [nlat, nlon, ntime] = *dims;
-    let terrain = terrain_field(nlat, nlon, TerrainSpec { seed, ..TerrainSpec::default() });
+    let terrain = terrain_field(
+        nlat,
+        nlon,
+        TerrainSpec {
+            seed,
+            ..TerrainSpec::default()
+        },
+    );
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7afc);
 
     let shape = Shape::new(dims);
@@ -330,9 +366,12 @@ pub fn tsfc(dims: &[usize; 3], seed: u64) -> ClimateDataset {
                     valid.push(false);
                     continue;
                 }
-                let hemi = if lat_frac < 0.5 { 0.0 } else { std::f64::consts::PI };
-                let season =
-                    12.0 * (std::f64::consts::TAU * (t % 12) as f64 / 12.0 + hemi).cos();
+                let hemi = if lat_frac < 0.5 {
+                    0.0
+                } else {
+                    std::f64::consts::PI
+                };
+                let season = 12.0 * (std::f64::consts::TAU * (t % 12) as f64 / 12.0 + hemi).cos();
                 let noise: f64 = rng.random_range(-0.4..0.4);
                 data.push((lat_temp - 8.0 * topo.max(0.0) + season + noise) as f32);
                 valid.push(true);
@@ -415,7 +454,11 @@ mod tests {
             }
         }
         if n > 0 {
-            assert!(diffs / n as f64 <= 0.2, "periodicity too weak: {}", diffs / n as f64);
+            assert!(
+                diffs / n as f64 <= 0.2,
+                "periodicity too weak: {}",
+                diffs / n as f64
+            );
         }
     }
 

@@ -144,6 +144,9 @@ mod tests {
         let g = gradient_magnitude(&ramp);
         assert!((g.get(&[4, 4]) - 1.0).abs() < 1e-6);
         let flat = Grid::filled(Shape::new(&[8, 8]), 3.0f32);
-        assert!(gradient_magnitude(&flat).as_slice().iter().all(|&v| v == 0.0));
+        assert!(gradient_magnitude(&flat)
+            .as_slice()
+            .iter()
+            .all(|&v| v == 0.0));
     }
 }

@@ -132,8 +132,8 @@ pub use cliz_store::{pack_store, ChunkStoreReader};
 /// Common imports for applications.
 pub mod prelude {
     pub use crate::{
-        autotune, autotune_fast, compress, decompress, Cliz, Compressor, PipelineConfig, Periodicity, Qoz,
-        Sperr, Sz2Lorenzo, SzInterp, TuneSpec, Zfp,
+        autotune, autotune_fast, compress, decompress, Cliz, Compressor, Periodicity,
+        PipelineConfig, Qoz, Sperr, Sz2Lorenzo, SzInterp, TuneSpec, Zfp,
     };
     pub use cliz_grid::{Grid, MaskMap, Shape};
     pub use cliz_quant::ErrorBound;
@@ -185,11 +185,7 @@ impl Compressor for Cliz {
         compress(data, mask, bound, &config).map_err(|e| BaselineError::Backend(e.to_string()))
     }
 
-    fn decompress(
-        &self,
-        bytes: &[u8],
-        mask: Option<&MaskMap>,
-    ) -> Result<Grid<f32>, BaselineError> {
+    fn decompress(&self, bytes: &[u8], mask: Option<&MaskMap>) -> Result<Grid<f32>, BaselineError> {
         decompress(bytes, mask).map_err(|e| BaselineError::Backend(e.to_string()))
     }
 }

@@ -138,9 +138,9 @@ pub fn autotune_fast(
     };
     let use_mask = mask.is_some_and(|m| !m.is_all_valid());
 
-    let period_detected = spec.time_axis.and_then(|axis| {
-        estimate_period(data, mask_ref, axis, PeriodSpec::default()).period
-    });
+    let period_detected = spec
+        .time_axis
+        .and_then(|axis| estimate_period(data, mask_ref, axis, PeriodSpec::default()).period);
 
     // Roughest axis first: the interpolation sweep makes ~2^i / (2^n − 1) of
     // its predictions along the i-th processed dimension, so later = more,
@@ -222,9 +222,9 @@ pub fn autotune(
 
     // Period detection runs on the full data (cheap: a few FFT rows); the
     // paper reports exactly this as the "constant increase in sampling time".
-    let period_detected = spec.time_axis.and_then(|axis| {
-        estimate_period(data, mask_ref, axis, PeriodSpec::default()).period
-    });
+    let period_detected = spec
+        .time_axis
+        .and_then(|axis| estimate_period(data, mask_ref, axis, PeriodSpec::default()).period);
 
     // Block sampling. When a period was detected, floor the time axis at
     // three periods so periodic candidates stay evaluable at low rates
@@ -387,9 +387,12 @@ mod tests {
         let result = autotune(&g, None, spec).unwrap();
         assert_eq!(result.period_detected, Some(12));
         assert_eq!(result.ranking.len(), 32); // periodic candidates present
-        // On strongly periodic data the winner should use extraction.
+                                              // On strongly periodic data the winner should use extraction.
         assert!(
-            matches!(result.best.periodicity, Periodicity::Extract { period: 12, .. }),
+            matches!(
+                result.best.periodicity,
+                Periodicity::Extract { period: 12, .. }
+            ),
             "winner: {}",
             result.best.describe()
         );

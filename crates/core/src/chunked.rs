@@ -258,7 +258,12 @@ pub fn compress_chunked_alloc_baseline(
             let mg = slab(mg, chunk_len, i);
             MaskMap::from_flags(mg.shape().clone(), mg.as_slice().to_vec())
         });
-        blobs.push(compress_alloc_baseline(&chunk, chunk_mask.as_ref(), eb, config)?);
+        blobs.push(compress_alloc_baseline(
+            &chunk,
+            chunk_mask.as_ref(),
+            eb,
+            config,
+        )?);
     }
     Ok(assemble_container(&dims, chunk_len, &blobs))
 }
@@ -358,7 +363,10 @@ impl ChunkIndex {
             .ok_or(ClizError::BadConfig("chunk index out of range"))?;
         let mut dims = self.dims.clone();
         dims[0] = rows.len();
-        Ok((dims, rows.start * self.slab_stride..rows.end * self.slab_stride))
+        Ok((
+            dims,
+            rows.start * self.slab_stride..rows.end * self.slab_stride,
+        ))
     }
 
     /// Copies chunk `i` out of a buffer laid row-major over the full dims:
@@ -478,10 +486,7 @@ fn parse_header(
 }
 
 /// Decompresses the whole container back into one grid.
-pub fn decompress_chunked(
-    bytes: &[u8],
-    mask: Option<&MaskMap>,
-) -> Result<Grid<f32>, ClizError> {
+pub fn decompress_chunked(bytes: &[u8], mask: Option<&MaskMap>) -> Result<Grid<f32>, ClizError> {
     decompress_chunked_with_threads(bytes, mask, 0)
 }
 
@@ -502,8 +507,7 @@ pub fn decompress_chunked_with_threads(
     // allocation: decode chunk 0, whose shape is checked against the
     // geometry, before committing to the full-grid buffer.
     let first_blob = chunk_blob(bytes, &header, 0)?;
-    let first =
-        decompress_chunk_blob_arena(first_blob, &index, mask, 0, &mut ScratchArena::new())?;
+    let first = decompress_chunk_blob_arena(first_blob, &index, mask, 0, &mut ScratchArena::new())?;
     let shape = Shape::new(&header.dims);
     let mut out = vec![0.0f32; shape.len()];
     let mut windows = index.windows(&mut out).into_iter().enumerate();
@@ -517,7 +521,10 @@ pub fn decompress_chunked_with_threads(
         threads,
         |(i, dst), arena| {
             let blob = chunk_blob(bytes, &header, i)?;
-            place(dst, &decompress_chunk_blob_arena(blob, &index, mask, i, arena)?)
+            place(
+                dst,
+                &decompress_chunk_blob_arena(blob, &index, mask, i, arena)?,
+            )
         },
     )?;
     Ok(Grid::from_vec(shape, out))
@@ -615,8 +622,7 @@ mod tests {
         let cfg = PipelineConfig::default_for(3);
         for mask in [None, Some(&mask)] {
             let bytes =
-                compress_chunked_with_threads(&g, mask, ErrorBound::Abs(1e-3), &cfg, 4, 0)
-                    .unwrap();
+                compress_chunked_with_threads(&g, mask, ErrorBound::Abs(1e-3), &cfg, 4, 0).unwrap();
             let full = decompress_chunked(&bytes, mask).unwrap();
             let header = read_header(&bytes).unwrap();
             let index = header.index().unwrap();
@@ -765,8 +771,7 @@ mod tests {
         let mask = MaskMap::from_flags(g.shape().clone(), valid);
         let cfg = PipelineConfig::default_for(2);
         let eb = ErrorBound::Abs(1e-3);
-        let serial =
-            compress_chunked_with_threads(&g, Some(&mask), eb, &cfg, 5, 1).unwrap();
+        let serial = compress_chunked_with_threads(&g, Some(&mask), eb, &cfg, 5, 1).unwrap();
         let par = compress_chunked_with_threads(&g, Some(&mask), eb, &cfg, 5, 4).unwrap();
         assert_eq!(serial, par);
         assert_eq!(

@@ -416,7 +416,12 @@ mod tests {
     #[test]
     fn plain_roundtrip_abs_bound() {
         let g = smooth(&[9, 17, 21]);
-        check_roundtrip(&g, None, ErrorBound::Abs(1e-3), &PipelineConfig::default_for(3));
+        check_roundtrip(
+            &g,
+            None,
+            ErrorBound::Abs(1e-3),
+            &PipelineConfig::default_for(3),
+        );
     }
 
     #[test]
@@ -633,8 +638,13 @@ mod tests {
     #[test]
     fn truncated_container_rejected() {
         let g = smooth(&[16, 16]);
-        let bytes = compress(&g, None, ErrorBound::Abs(1e-3), &PipelineConfig::default_for(2))
-            .unwrap();
+        let bytes = compress(
+            &g,
+            None,
+            ErrorBound::Abs(1e-3),
+            &PipelineConfig::default_for(2),
+        )
+        .unwrap();
         for frac in [4, 10, 30, bytes.len() - 1] {
             assert!(decompress(&bytes[..frac], None).is_err(), "cut {frac}");
         }
@@ -643,8 +653,13 @@ mod tests {
     #[test]
     fn compression_actually_compresses_smooth_data() {
         let g = smooth(&[32, 64, 64]);
-        let bytes = compress(&g, None, ErrorBound::Rel(1e-3), &PipelineConfig::default_for(3))
-            .unwrap();
+        let bytes = compress(
+            &g,
+            None,
+            ErrorBound::Rel(1e-3),
+            &PipelineConfig::default_for(3),
+        )
+        .unwrap();
         let ratio = (g.len() * 4) as f64 / bytes.len() as f64;
         assert!(ratio > 8.0, "ratio only {ratio:.2}");
     }

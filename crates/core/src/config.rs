@@ -123,7 +123,10 @@ impl PipelineConfig {
                 s.push_str(&format!("period = {period}\n"));
             }
         }
-        s.push_str(&format!("template_eb_factor = {}\n", self.template_eb_factor));
+        s.push_str(&format!(
+            "template_eb_factor = {}\n",
+            self.template_eb_factor
+        ));
         s.push_str(&format!("use_mask = {}\n", self.use_mask));
         s
     }
@@ -168,9 +171,7 @@ impl PipelineConfig {
                             .map(|a| a.trim().parse::<usize>())
                             .collect();
                         let axes = axes.map_err(|_| bad("fusion"))?;
-                        if axes.len() < 2
-                            || !axes.windows(2).all(|w| w[1] == w[0] + 1)
-                        {
+                        if axes.len() < 2 || !axes.windows(2).all(|w| w[1] == w[0] + 1) {
                             return Err(ClizError::BadConfig("fusion axes must be adjacent"));
                         }
                         fusion = cliz_grid::FusionSpec {

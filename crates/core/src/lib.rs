@@ -50,19 +50,18 @@ pub mod pipeline;
 pub mod scratch;
 
 pub use autotune::{autotune, autotune_fast, TuneResult, TuneSpec};
-pub use cliz_grid::cast;
-/// The zlite lossless backend, for containers built on cliz-core (the
-/// store frames its mask with it).
-pub use cliz_lossless as lossless;
 pub use chunked::{
     compress_chunked_with_threads, decompress_chunk_blob_arena, decompress_chunked,
     decompress_chunked_with_threads, read_header, read_header_prefix, run_pool, ChunkIndex,
     ChunkedHeader,
 };
-pub use scratch::ScratchArena;
+pub use cliz_grid::cast;
+/// The zlite lossless backend, for containers built on cliz-core (the
+/// store frames its mask with it).
+pub use cliz_lossless as lossless;
 pub use compressor::{
-    compress, compress_with_stats_arena, decompress, decompress_arena, valid_min_max,
-    CompressStats,
+    compress, compress_with_stats_arena, decompress, decompress_arena, valid_min_max, CompressStats,
 };
-pub use config::{PipelineConfig, Periodicity};
+pub use config::{Periodicity, PipelineConfig};
 pub use error::ClizError;
+pub use scratch::ScratchArena;

@@ -93,7 +93,13 @@ pub fn build_template(
     let values: Vec<f32> = sums
         .iter()
         .zip(&counts)
-        .map(|(&s, &c)| if c > 0 { (s / f64::from(c)) as f32 } else { 0.0 })
+        .map(|(&s, &c)| {
+            if c > 0 {
+                (s / f64::from(c)) as f32
+            } else {
+                0.0
+            }
+        })
         .collect();
     Grid::from_vec(t_shape, values)
 }
@@ -101,11 +107,7 @@ pub fn build_template(
 /// Derives the template's validity mask from the data mask: a template
 /// position is valid when at least one of its phase occurrences is. Both
 /// encoder and decoder call this, so it is never serialized.
-pub fn template_mask(
-    mask: &MaskMap,
-    time_axis: usize,
-    period: usize,
-) -> MaskMap {
+pub fn template_mask(mask: &MaskMap, time_axis: usize, period: usize) -> MaskMap {
     let shape = mask.shape();
     let t_shape = template_shape(shape, time_axis, period);
     let mut valid = vec![false; t_shape.len()];
@@ -137,7 +139,9 @@ pub fn add_template(
     time_axis: usize,
     fill_value: f32,
 ) -> Grid<f32> {
-    apply_template(residual, template, mask, time_axis, fill_value, |r, t| r + t)
+    apply_template(residual, template, mask, time_axis, fill_value, |r, t| {
+        r + t
+    })
 }
 
 fn apply_template(
@@ -502,10 +506,7 @@ mod tests {
     fn template_mask_or_over_phases() {
         let shape = Shape::new(&[1, 6]);
         // Valid only at t = 4 -> phase 1 (period 3).
-        let mask = MaskMap::from_flags(
-            shape,
-            vec![false, false, false, false, true, false],
-        );
+        let mask = MaskMap::from_flags(shape, vec![false, false, false, false, true, false]);
         let tm = template_mask(&mask, 1, 3);
         assert_eq!(tm.shape().dims(), &[1, 3]);
         assert_eq!(tm.as_slice(), &[false, true, false]);

@@ -169,7 +169,9 @@ impl<'a> BitReader<'a> {
             return None;
         }
         self.nbits -= len;
-        Some(cast::low_u32((self.acc >> self.nbits) & ((1u64 << len) - 1)))
+        Some(cast::low_u32(
+            (self.acc >> self.nbits) & ((1u64 << len) - 1),
+        ))
     }
 
     #[inline]

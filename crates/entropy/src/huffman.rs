@@ -61,9 +61,8 @@ fn huffman_depths(freqs: &[u64], used: &[usize]) -> Vec<u32> {
     // Min-heap of (weight, node). BinaryHeap is a max-heap, so invert with Reverse.
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..n)
-        .map(|i| Reverse((weight[i], i)))
-        .collect();
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
+        (0..n).map(|i| Reverse((weight[i], i))).collect();
     while heap.len() > 1 {
         // The loop guard guarantees two entries, so the pops cannot fail.
         let (Some(Reverse((wa, a))), Some(Reverse((wb, b)))) = (heap.pop(), heap.pop()) else {
@@ -390,12 +389,9 @@ impl HuffmanDecoder {
         }
         // Kraft check: Σ 2^(MAX_CODE_LEN − len) must fit the unit budget.
         // Over-subscribed sets would overflow the canonical construction.
-        let kraft = lens
-            .iter()
-            .filter(|&&l| l > 0)
-            .try_fold(0u64, |a, &l| {
-                a.checked_add(1u64 << (MAX_CODE_LEN - u32::from(l)))
-            })?;
+        let kraft = lens.iter().filter(|&&l| l > 0).try_fold(0u64, |a, &l| {
+            a.checked_add(1u64 << (MAX_CODE_LEN - u32::from(l)))
+        })?;
         if kraft > 1u64 << MAX_CODE_LEN {
             return None;
         }
@@ -857,7 +853,10 @@ mod tests {
         let mut run = Vec::new();
         assert_eq!(dec.decode_literal_run(&mut r, 256, &mut run), Some(300));
         assert_eq!(run.len(), 500);
-        assert!(run.iter().enumerate().all(|(i, &b)| u32::from(b) == (i as u32) % 10));
+        assert!(run
+            .iter()
+            .enumerate()
+            .all(|(i, &b)| u32::from(b) == (i as u32) % 10));
         run.clear();
         assert_eq!(dec.decode_literal_run(&mut r, 256, &mut run), Some(300));
         assert_eq!(run.len(), 37);

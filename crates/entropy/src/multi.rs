@@ -20,7 +20,11 @@ use cliz_grid::cast;
 /// Panics when `symbols` and `groups` lengths differ or a group id is out of
 /// range.
 pub fn multi_encode(symbols: &[u32], groups: &[u8], n_groups: usize) -> Vec<u8> {
-    assert_eq!(symbols.len(), groups.len(), "symbols/groups length mismatch");
+    assert_eq!(
+        symbols.len(),
+        groups.len(),
+        "symbols/groups length mismatch"
+    );
     assert!(n_groups >= 1);
 
     // Per-group histograms.
@@ -129,7 +133,19 @@ mod tests {
         // Distinct per-group histograms so the two trees differ: group 0 is
         // heavily skewed toward symbol 0, group 1 toward symbol 4.
         let symbols: Vec<u32> = (0..100u32)
-            .map(|i| if i % 2 == 0 { if i % 10 == 0 { i % 5 } else { 0 } } else if i % 10 == 1 { i % 5 } else { 4 })
+            .map(|i| {
+                if i % 2 == 0 {
+                    if i % 10 == 0 {
+                        i % 5
+                    } else {
+                        0
+                    }
+                } else if i % 10 == 1 {
+                    i % 5
+                } else {
+                    4
+                }
+            })
             .collect();
         let groups: Vec<u8> = (0..100).map(|i| (i % 2) as u8).collect();
         let bytes = multi_encode(&symbols, &groups, 2);
@@ -156,7 +172,11 @@ mod tests {
         let mut groups = Vec::new();
         // Group 0 peaks at symbol 10, group 1 peaks at symbol 20.
         for i in 0..4000u32 {
-            let (center, g) = if i % 2 == 0 { (10u32, 0u8) } else { (20u32, 1u8) };
+            let (center, g) = if i % 2 == 0 {
+                (10u32, 0u8)
+            } else {
+                (20u32, 1u8)
+            };
             let jitter = [0u32, 0, 0, 0, 1, 2][(i % 6) as usize];
             symbols.push(center + jitter);
             groups.push(g);

@@ -356,7 +356,10 @@ mod tests {
             vec![u64::MAX / 4, 1],
         ] {
             let scaled = scale_frequencies(&freqs);
-            assert_eq!(scaled.iter().map(|&f| u64::from(f)).sum::<u64>(), u64::from(TOTAL));
+            assert_eq!(
+                scaled.iter().map(|&f| u64::from(f)).sum::<u64>(),
+                u64::from(TOTAL)
+            );
             for (s, f) in scaled.iter().zip(&freqs) {
                 assert_eq!(*s == 0, *f == 0, "zero preservation");
             }

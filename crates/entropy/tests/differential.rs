@@ -53,7 +53,12 @@ fn uniform(seed: u64, n: usize, alphabet: u64) -> Vec<u32> {
 fn assert_stream_identity(symbols: &[u32]) {
     let new_bytes = encode_stream(symbols);
     let ref_bytes = ref_encode_stream(symbols);
-    assert_eq!(new_bytes, ref_bytes, "encoded bytes diverge ({} syms)", symbols.len());
+    assert_eq!(
+        new_bytes,
+        ref_bytes,
+        "encoded bytes diverge ({} syms)",
+        symbols.len()
+    );
     assert_eq!(decode_stream(&new_bytes).as_deref(), Some(symbols));
     assert_eq!(ref_decode_stream(&new_bytes).as_deref(), Some(symbols));
     assert_eq!(decode_stream(&ref_bytes).as_deref(), Some(symbols));

@@ -202,7 +202,9 @@ mod tests {
         // Deterministic pseudo-noise via an LCG.
         let mut state = 12345u64;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 33) as f64 / (1u64 << 31) as f64 - 1.0
         };
         let shape = Shape::new(&[12, 512]);
@@ -243,6 +245,9 @@ mod tests {
     fn short_axis_rejected() {
         let g = Grid::filled(Shape::new(&[5, 3]), 1.0f32);
         let m = MaskMap::all_valid(g.shape().clone());
-        assert_eq!(estimate_period(&g, &m, 1, PeriodSpec::default()).period, None);
+        assert_eq!(
+            estimate_period(&g, &m, 1, PeriodSpec::default()).period,
+            None
+        );
     }
 }

@@ -81,7 +81,9 @@ fn bluestein(x: &mut [Complex], inverse: bool) {
     let two_n = 2 * n as u64;
     for j in 0..n as u64 {
         let jj = (j * j) % two_n;
-        chirp.push(Complex::cis(sign * std::f64::consts::PI * jj as f64 / n as f64));
+        chirp.push(Complex::cis(
+            sign * std::f64::consts::PI * jj as f64 / n as f64,
+        ));
     }
 
     let mut a = vec![Complex::ZERO; m];
@@ -113,7 +115,10 @@ fn bluestein(x: &mut [Complex], inverse: bool) {
 pub fn real_fft_magnitudes(signal: &[f64]) -> Vec<f64> {
     let mut buf: Vec<Complex> = signal.iter().map(|&v| Complex::from(v)).collect();
     fft(&mut buf);
-    buf.iter().take(signal.len() / 2 + 1).map(|z| z.abs()).collect()
+    buf.iter()
+        .take(signal.len() / 2 + 1)
+        .map(|z| z.abs())
+        .collect()
 }
 
 #[cfg(test)]
@@ -137,10 +142,7 @@ mod tests {
     fn assert_close(a: &[Complex], b: &[Complex], tol: f64) {
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert!(
-                (*x - *y).abs() < tol,
-                "mismatch at {i}: {x:?} vs {y:?}"
-            );
+            assert!((*x - *y).abs() < tol, "mismatch at {i}: {x:?} vs {y:?}");
         }
     }
 

@@ -33,29 +33,73 @@ pub mod spec {
     use super::FormatSpec;
 
     /// Plain CliZ compressed field (`cliz_core::compressor`).
-    pub const CLIZ: FormatSpec = FormatSpec { name: "CLIZ", magic: 0x434C_495A, version: 1 };
+    pub const CLIZ: FormatSpec = FormatSpec {
+        name: "CLIZ",
+        magic: 0x434C_495A,
+        version: 1,
+    };
     /// Chunked CliZ container (`cliz_core::chunked`).
-    pub const CLZC: FormatSpec = FormatSpec { name: "CLZC", magic: 0x434C_5A43, version: 1 };
+    pub const CLZC: FormatSpec = FormatSpec {
+        name: "CLZC",
+        magic: 0x434C_5A43,
+        version: 1,
+    };
     /// Random-access chunk store (`cliz_store::format`).
     /// Version 2 keeps the mask as a ZLT1 frame; version 1 (a raw bitmap)
     /// is still read.
-    pub const CZS1: FormatSpec = FormatSpec { name: "CZS1", magic: 0x3153_5A43, version: 2 };
+    pub const CZS1: FormatSpec = FormatSpec {
+        name: "CZS1",
+        magic: 0x3153_5A43,
+        version: 2,
+    };
     /// Climate array file with attributes and mask (`cliz_store::caf`).
-    pub const CAF1: FormatSpec = FormatSpec { name: "CAF1", magic: 0x4341_4631, version: 1 };
+    pub const CAF1: FormatSpec = FormatSpec {
+        name: "CAF1",
+        magic: 0x4341_4631,
+        version: 1,
+    };
     /// CLI dataset envelope (`cliz_cli::czfile`).
-    pub const CZF1: FormatSpec = FormatSpec { name: "CZF1", magic: 0x435A_4631, version: 1 };
+    pub const CZF1: FormatSpec = FormatSpec {
+        name: "CZF1",
+        magic: 0x435A_4631,
+        version: 1,
+    };
     /// zlite lossless byte container (`cliz_lossless::format`).
-    pub const ZLT1: FormatSpec = FormatSpec { name: "ZLT1", magic: 0x5A4C_5431, version: 1 };
+    pub const ZLT1: FormatSpec = FormatSpec {
+        name: "ZLT1",
+        magic: 0x5A4C_5431,
+        version: 1,
+    };
     /// zfp-style transform baseline (`cliz_baselines::zfp`).
-    pub const ZFP1: FormatSpec = FormatSpec { name: "ZFP1", magic: 0x5A46_5031, version: 1 };
+    pub const ZFP1: FormatSpec = FormatSpec {
+        name: "ZFP1",
+        magic: 0x5A46_5031,
+        version: 1,
+    };
     /// SZ2-style Lorenzo baseline (`cliz_baselines::sz2`).
-    pub const SZ21: FormatSpec = FormatSpec { name: "SZ21", magic: 0x535A_3231, version: 1 };
+    pub const SZ21: FormatSpec = FormatSpec {
+        name: "SZ21",
+        magic: 0x535A_3231,
+        version: 1,
+    };
     /// SZ3-style interpolation baseline (`cliz_baselines::sz_interp`).
-    pub const SZL1: FormatSpec = FormatSpec { name: "SZL1", magic: 0x535A_4C31, version: 1 };
+    pub const SZL1: FormatSpec = FormatSpec {
+        name: "SZL1",
+        magic: 0x535A_4C31,
+        version: 1,
+    };
     /// QoZ-style interpolation baseline (`cliz_baselines::qoz`).
-    pub const QOZ1: FormatSpec = FormatSpec { name: "QOZ1", magic: 0x514F_5A31, version: 1 };
+    pub const QOZ1: FormatSpec = FormatSpec {
+        name: "QOZ1",
+        magic: 0x514F_5A31,
+        version: 1,
+    };
     /// SPERR-style wavelet baseline (`cliz_baselines::sperr`).
-    pub const SPR1: FormatSpec = FormatSpec { name: "SPR1", magic: 0x5350_5231, version: 1 };
+    pub const SPR1: FormatSpec = FormatSpec {
+        name: "SPR1",
+        magic: 0x5350_5231,
+        version: 1,
+    };
 
     /// Every live format, for iteration (docs, corpus generators,
     /// duplicate audits).
@@ -66,7 +110,11 @@ pub mod spec {
     /// Retired: the CLZS slab-stream header. Nothing writes or opens CLZS
     /// files; the value stays in the uniqueness check below so no future
     /// format can reuse it and misparse an old file.
-    const CLZS: FormatSpec = FormatSpec { name: "CLZS", magic: 0x434C_5A53, version: 1 };
+    const CLZS: FormatSpec = FormatSpec {
+        name: "CLZS",
+        magic: 0x434C_5A53,
+        version: 1,
+    };
 
     /// Retired: the CLZS end-of-file trailer sentinel, reserved likewise.
     const CLZS_TRAILER_MAGIC: u32 = 0x535A_4C43;
@@ -150,7 +198,9 @@ impl HeaderWriter {
     }
 
     pub fn with_capacity(n: usize) -> Self {
-        Self { buf: Vec::with_capacity(n) }
+        Self {
+            buf: Vec::with_capacity(n),
+        }
     }
 
     /// Emits the registered `magic:u32, version:u8` prefix for `spec`.

@@ -23,7 +23,9 @@ fn bad_magic_surface() {
     w.magic(&spec::ZLT1);
     let bytes = w.finish();
     assert_eq!(
-        HeaderReader::new(&bytes).expect_magic(&spec::CZS1).unwrap_err(),
+        HeaderReader::new(&bytes)
+            .expect_magic(&spec::CZS1)
+            .unwrap_err(),
         FormatError::BadMagic
     );
 }
@@ -35,7 +37,9 @@ fn unsupported_version_surface() {
     w.u8(0xEE);
     let bytes = w.finish();
     assert_eq!(
-        HeaderReader::new(&bytes).expect_magic(&spec::CAF1).unwrap_err(),
+        HeaderReader::new(&bytes)
+            .expect_magic(&spec::CAF1)
+            .unwrap_err(),
         FormatError::UnsupportedVersion(0xEE)
     );
 }

@@ -251,7 +251,7 @@ mod tests {
         let mut probes: Vec<f64> = vec![
             0.0,
             -0.0,
-            0.49999999999999994,  // largest f64 < 0.5: + 0.5 rounds to 1.0
+            0.49999999999999994, // largest f64 < 0.5: + 0.5 rounds to 1.0
             -0.49999999999999994,
             0.5,
             -0.5,
@@ -273,7 +273,9 @@ mod tests {
         ];
         let mut state = 0x1234_5678_9abc_def0u64;
         for _ in 0..20_000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let mag = f64::from(low_u32(state >> 32)) / 65536.0; // 0 .. 65536
             probes.push(if state & 1 == 0 { mag } else { -mag });
         }
@@ -297,7 +299,15 @@ mod tests {
 
     #[test]
     fn f32_select_mirrors_checked() {
-        for v in [1.5, 1e-300, 1e300, f64::NEG_INFINITY, f64::NAN, -0.0, 3.25e38] {
+        for v in [
+            1.5,
+            1e-300,
+            1e300,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -0.0,
+            3.25e38,
+        ] {
             let (f, ok) = f64_to_f32_select(v);
             match f64_to_f32_checked(v) {
                 Some(c) => {

@@ -67,7 +67,11 @@ pub fn fuse_shape(shape: &Shape, spec: FusionSpec) -> Shape {
     );
     let mut dims = Vec::with_capacity(shape.ndim() - spec.len + 1);
     dims.extend_from_slice(&shape.dims()[..spec.start]);
-    dims.push(shape.dims()[spec.start..spec.start + spec.len].iter().product());
+    dims.push(
+        shape.dims()[spec.start..spec.start + spec.len]
+            .iter()
+            .product(),
+    );
     dims.extend_from_slice(&shape.dims()[spec.start + spec.len..]);
     Shape::new(&dims)
 }

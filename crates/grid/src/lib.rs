@@ -27,6 +27,6 @@ pub use fuse::{fuse_shape, FusionSpec};
 pub use grid::Grid;
 pub use line::{Line, LineIter};
 pub use mask::MaskMap;
-pub use sample::{sample_blocks, Sampled, SampleSpec};
+pub use sample::{sample_blocks, SampleSpec, Sampled};
 pub use shape::Shape;
 pub use smooth::{axis_smoothness, dimension_smoothness, smoothness_order, Smoothness};

@@ -27,7 +27,9 @@ impl Line {
             self.len == 0 || self.base + (self.len - 1) * self.stride < data.len(),
             "Line::gather: line extends past the buffer"
         );
-        (0..self.len).map(|k| data[self.base + k * self.stride]).collect()
+        (0..self.len)
+            .map(|k| data[self.base + k * self.stride])
+            .collect()
     }
 }
 
@@ -138,6 +140,13 @@ mod tests {
     fn one_dim_single_line() {
         let s = Shape::new(&[9]);
         let lines: Vec<Line> = LineIter::new(&s, 0).collect();
-        assert_eq!(lines, vec![Line { base: 0, stride: 1, len: 9 }]);
+        assert_eq!(
+            lines,
+            vec![Line {
+                base: 0,
+                stride: 1,
+                len: 9
+            }]
+        );
     }
 }

@@ -281,11 +281,7 @@ mod tests {
         // (i,j) valid in m <=> (j,i) valid in p
         for i in 0..2 {
             for j in 0..3 {
-                assert_eq!(
-                    m.is_valid(i * 3 + j),
-                    p.is_valid(j * 2 + i),
-                    "({i},{j})"
-                );
+                assert_eq!(m.is_valid(i * 3 + j), p.is_valid(j * 2 + i), "({i},{j})");
             }
         }
     }

@@ -111,7 +111,11 @@ pub fn sample_blocks(data: &Grid<f32>, mask: &MaskMap, spec: SampleSpec) -> Samp
     for b in 0..n_blocks {
         let mut start = Vec::with_capacity(ndim);
         for (d, &side) in sides.iter().enumerate() {
-            let frac = if b >> d & 1 == 0 { 1.0 / 3.0 } else { 2.0 / 3.0 };
+            let frac = if b >> d & 1 == 0 {
+                1.0 / 3.0
+            } else {
+                2.0 / 3.0
+            };
             let center = (shape.dim(d) as f64 * frac) as usize;
             let s = center.saturating_sub(side / 2);
             start.push(s.min(shape.dim(d) - side));

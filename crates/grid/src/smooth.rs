@@ -171,7 +171,9 @@ mod tests {
         let g = Grid::filled(Shape::new(&[5, 5]), 3.5f32);
         let m = MaskMap::all_valid(g.shape().clone());
         let s = dimension_smoothness(&g, &m);
-        assert!(s.iter().all(|x| x.mean_abs_diff == 0.0 && x.max_abs_diff == 0.0));
+        assert!(s
+            .iter()
+            .all(|x| x.mean_abs_diff == 0.0 && x.max_abs_diff == 0.0));
     }
 
     /// The reference for the lane sums: every line along the axis, its

@@ -104,7 +104,9 @@ where
             );
         }
         if let Some(t) = out.unjoined_panic {
-            panic!("loom: spawned thread {t} panicked and was never joined (execution {iterations})");
+            panic!(
+                "loom: spawned thread {t} panicked and was never joined (execution {iterations})"
+            );
         }
         replay = out.replay;
         if !advance(&mut replay, &out.options) {

@@ -58,12 +58,7 @@ where
     // Schedule point: the child is runnable from here on.
     exec.schedule(me);
     JoinHandle {
-        inner: Inner::Model {
-            exec,
-            id,
-            slot,
-            os,
-        },
+        inner: Inner::Model { exec, id, slot, os },
     }
 }
 

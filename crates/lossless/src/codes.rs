@@ -21,31 +21,69 @@ pub const WINDOW: usize = 32 * 1024;
 
 /// `(base_length, extra_bits)` for each of the 29 length codes.
 pub const LENGTH_TABLE: [(u16, u8); 29] = [
-    (3, 0), (4, 0), (5, 0), (6, 0), (7, 0), (8, 0), (9, 0), (10, 0),
-    (11, 1), (13, 1), (15, 1), (17, 1),
-    (19, 2), (23, 2), (27, 2), (31, 2),
-    (35, 3), (43, 3), (51, 3), (59, 3),
-    (67, 4), (83, 4), (99, 4), (115, 4),
-    (131, 5), (163, 5), (195, 5), (227, 5),
+    (3, 0),
+    (4, 0),
+    (5, 0),
+    (6, 0),
+    (7, 0),
+    (8, 0),
+    (9, 0),
+    (10, 0),
+    (11, 1),
+    (13, 1),
+    (15, 1),
+    (17, 1),
+    (19, 2),
+    (23, 2),
+    (27, 2),
+    (31, 2),
+    (35, 3),
+    (43, 3),
+    (51, 3),
+    (59, 3),
+    (67, 4),
+    (83, 4),
+    (99, 4),
+    (115, 4),
+    (131, 5),
+    (163, 5),
+    (195, 5),
+    (227, 5),
     (258, 0),
 ];
 
 /// `(base_distance, extra_bits)` for each of the 30 distance codes.
 pub const DIST_TABLE: [(u16, u8); 30] = [
-    (1, 0), (2, 0), (3, 0), (4, 0),
-    (5, 1), (7, 1),
-    (9, 2), (13, 2),
-    (17, 3), (25, 3),
-    (33, 4), (49, 4),
-    (65, 5), (97, 5),
-    (129, 6), (193, 6),
-    (257, 7), (385, 7),
-    (513, 8), (769, 8),
-    (1025, 9), (1537, 9),
-    (2049, 10), (3073, 10),
-    (4097, 11), (6145, 11),
-    (8193, 12), (12289, 12),
-    (16385, 13), (24577, 13),
+    (1, 0),
+    (2, 0),
+    (3, 0),
+    (4, 0),
+    (5, 1),
+    (7, 1),
+    (9, 2),
+    (13, 2),
+    (17, 3),
+    (25, 3),
+    (33, 4),
+    (49, 4),
+    (65, 5),
+    (97, 5),
+    (129, 6),
+    (193, 6),
+    (257, 7),
+    (385, 7),
+    (513, 8),
+    (769, 8),
+    (1025, 9),
+    (1537, 9),
+    (2049, 10),
+    (3073, 10),
+    (4097, 11),
+    (6145, 11),
+    (8193, 12),
+    (12289, 12),
+    (16385, 13),
+    (24577, 13),
 ];
 
 /// Last `LENGTH_TABLE` index whose base is ≤ `len`, for every admissible

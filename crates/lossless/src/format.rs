@@ -386,7 +386,9 @@ mod tests {
         let mut state = 99u64;
         let data: Vec<u8> = (0..10_000)
             .map(|_| {
-                state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+                state = state
+                    .wrapping_mul(2862933555777941757)
+                    .wrapping_add(3037000493);
                 (state >> 56) as u8
             })
             .collect();

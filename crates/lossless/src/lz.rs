@@ -42,7 +42,10 @@ use crate::codes::{MAX_MATCH, MIN_MATCH, WINDOW};
 pub enum Token {
     Literal(u8),
     /// Back-reference: copy `len` bytes starting `dist` bytes back.
-    Match { len: u32, dist: u32 },
+    Match {
+        len: u32,
+        dist: u32,
+    },
 }
 
 const HASH_BITS: u32 = 15;

@@ -275,8 +275,8 @@ pub fn ref_decompress(data: &[u8]) -> Result<Vec<u8>, Error> {
     if version == 0 || version > ZLT1.version {
         return Err(Error::UnsupportedVersion(version));
     }
-    let raw_len = u64::from_le_bytes(header(5..13)?.try_into().map_err(|_| Error::Truncated)?)
-        as usize;
+    let raw_len =
+        u64::from_le_bytes(header(5..13)?.try_into().map_err(|_| Error::Truncated)?) as usize;
     let mode = *data.get(13).ok_or(Error::Truncated)?;
     let body = data.get(14..).ok_or(Error::Truncated)?;
     match mode {

@@ -59,7 +59,8 @@ fn assert_payload_identity(payload: &[u8]) {
     let new_bytes = compress(payload);
     let ref_bytes = ref_compress(payload);
     assert_eq!(
-        new_bytes, ref_bytes,
+        new_bytes,
+        ref_bytes,
         "compressed bytes diverge ({} bytes in)",
         payload.len()
     );

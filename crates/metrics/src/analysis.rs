@@ -167,7 +167,9 @@ mod tests {
 
     #[test]
     fn uniform_noise_has_flat_histogram_and_low_autocorr() {
-        let x: Vec<f32> = (0..20_000).map(|i| (i as f32 * 0.01).sin() * 10.0).collect();
+        let x: Vec<f32> = (0..20_000)
+            .map(|i| (i as f32 * 0.01).sin() * 10.0)
+            .collect();
         // Deterministic pseudo-uniform error in [-0.5, 0.5].
         let mut state = 17u64;
         let y: Vec<f32> = x
@@ -210,10 +212,7 @@ mod tests {
     fn mask_excludes_points() {
         let x = vec![0.0f32, 100.0, 0.0, 0.0];
         let y = vec![0.0f32, 0.0, 0.0, 0.0];
-        let mask = MaskMap::from_flags(
-            cliz_grid::Shape::new(&[4]),
-            vec![true, false, true, true],
-        );
+        let mask = MaskMap::from_flags(cliz_grid::Shape::new(&[4]), vec![true, false, true, true]);
         let a = analyze_errors(&x, &y, Some(&mask), 8, 2);
         assert_eq!(a.points, 3);
         assert_eq!(a.max_abs, 0.0);

@@ -40,11 +40,7 @@ pub fn slice_to_pgm(slice: &Grid<f32>, mask: Option<&MaskMap>) -> Vec<u8> {
 }
 
 /// Writes a PGM rendering to `path`.
-pub fn write_pgm(
-    path: &Path,
-    slice: &Grid<f32>,
-    mask: Option<&MaskMap>,
-) -> std::io::Result<()> {
+pub fn write_pgm(path: &Path, slice: &Grid<f32>, mask: Option<&MaskMap>) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }

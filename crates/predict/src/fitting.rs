@@ -135,13 +135,25 @@ mod tests {
     #[test]
     fn two_valid_is_exact_linear() {
         // d1 (−s) and d2 (+s): plain average.
-        close(&cubic_coeffs([false, true, true, false]), &[0.0, 0.5, 0.5, 0.0]);
+        close(
+            &cubic_coeffs([false, true, true, false]),
+            &[0.0, 0.5, 0.5, 0.0],
+        );
         // d2 (+s) and d3 (+3s): extrapolate back to 0 -> 1.5·d2 − 0.5·d3.
-        close(&cubic_coeffs([false, false, true, true]), &[0.0, 0.0, 1.5, -0.5]);
+        close(
+            &cubic_coeffs([false, false, true, true]),
+            &[0.0, 0.0, 1.5, -0.5],
+        );
         // d0 (−3s) and d1 (−s): forward extrapolation -> −0.5·d0 + 1.5·d1.
-        close(&cubic_coeffs([true, true, false, false]), &[-0.5, 1.5, 0.0, 0.0]);
+        close(
+            &cubic_coeffs([true, true, false, false]),
+            &[-0.5, 1.5, 0.0, 0.0],
+        );
         // d0 (−3s) and d2 (+s): interpolate -> 0.25·d0 + 0.75·d2.
-        close(&cubic_coeffs([true, false, true, false]), &[0.25, 0.0, 0.75, 0.0]);
+        close(
+            &cubic_coeffs([true, false, true, false]),
+            &[0.25, 0.0, 0.75, 0.0],
+        );
     }
 
     #[test]

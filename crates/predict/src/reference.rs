@@ -288,8 +288,7 @@ where
                 let mut i = s;
                 while i < dim_len {
                     let idx = base + i * dim_stride;
-                    let pred =
-                        ref_predict_at(buf, mask, idx, i, dim_len, dim_stride, s, fitting);
+                    let pred = ref_predict_at(buf, mask, idx, i, dim_len, dim_stride, s, fitting);
                     visit(buf, idx, s, pred);
                     i += 2 * s;
                 }

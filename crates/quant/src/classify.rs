@@ -132,8 +132,8 @@ impl Classification {
         let mut digits = 0u32;
         for p in 0..self.h_len {
             // shift ∈ [-1, 1] by construction, so shift + 1 is non-negative.
-            let digit = (i32::from(self.shifts[p]) + 1).unsigned_abs() * 2
-                + u32::from(self.groups[p]);
+            let digit =
+                (i32::from(self.shifts[p]) + 1).unsigned_abs() * 2 + u32::from(self.groups[p]);
             debug_assert!(digit < 6);
             word = word * 6 + digit;
             digits += 1;
@@ -419,7 +419,13 @@ mod tests {
     fn fully_masked_position_neutral() {
         let h_len = 2;
         let symbols: Vec<u32> = (0..8)
-            .map(|i| if i % 2 == 0 { bin_to_symbol(3) } else { bin_to_symbol(0) })
+            .map(|i| {
+                if i % 2 == 0 {
+                    bin_to_symbol(3)
+                } else {
+                    bin_to_symbol(0)
+                }
+            })
             .collect();
         let mask = vec![false, true, false, true, false, true, false, true];
         let class = classify(&symbols, h_len, Some(&mask), spec());

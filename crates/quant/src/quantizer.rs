@@ -28,7 +28,10 @@ pub struct LinearQuantizer {
 impl LinearQuantizer {
     pub fn new(eb: f64) -> Self {
         assert!(eb > 0.0 && eb.is_finite(), "error bound must be positive");
-        Self { eb, radius: 1 << 15 }
+        Self {
+            eb,
+            radius: 1 << 15,
+        }
     }
 
     pub fn with_radius(eb: f64, radius: i32) -> Self {

@@ -48,9 +48,9 @@ impl Client {
     pub fn region(&mut self, spec: &str) -> Result<(Vec<usize>, Vec<f32>), ServeError> {
         self.send(&format!("REGION {spec}\n"))?;
         let status = self.read_status()?;
-        let (shape_text, nbytes_text) = status
-            .split_once(' ')
-            .ok_or(ServeError::BadResponse("region status needs shape and size"))?;
+        let (shape_text, nbytes_text) = status.split_once(' ').ok_or(ServeError::BadResponse(
+            "region status needs shape and size",
+        ))?;
         let shape: Vec<usize> = shape_text
             .split('x')
             .map(|d| d.parse::<usize>())
@@ -77,9 +77,7 @@ impl Client {
         let body = self.read_body(nbytes)?;
         let values = body
             .chunks_exact(4)
-            .map(|quad| {
-                f32::from_le_bytes([quad[0], quad[1], quad[2], quad[3]])
-            })
+            .map(|quad| f32::from_le_bytes([quad[0], quad[1], quad[2], quad[3]]))
             .collect();
         Ok((shape, values))
     }

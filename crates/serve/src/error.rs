@@ -64,7 +64,10 @@ mod tests {
     fn store_rejections_surface_as_store() {
         // The `?` conversion the server relies on when `read_region` fails.
         let err = ServeError::from(StoreError::Corrupt("index entry missing"));
-        assert!(matches!(err, ServeError::Store(StoreError::Corrupt(_))), "{err}");
+        assert!(
+            matches!(err, ServeError::Store(StoreError::Corrupt(_))),
+            "{err}"
+        );
         assert!(err.to_string().contains("index entry missing"));
     }
 }

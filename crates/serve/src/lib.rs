@@ -38,7 +38,10 @@
 //! client.quit().unwrap();
 //! server.stop();
 //! ```
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod client;
 pub mod error;

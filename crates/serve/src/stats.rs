@@ -41,7 +41,10 @@ impl ServeStats {
             ("requests", self.requests.load(Ordering::Relaxed)),
             ("errors", self.errors.load(Ordering::Relaxed)),
             ("regions", self.regions.load(Ordering::Relaxed)),
-            ("bytes_streamed", self.bytes_streamed.load(Ordering::Relaxed)),
+            (
+                "bytes_streamed",
+                self.bytes_streamed.load(Ordering::Relaxed),
+            ),
             ("queue_wait_ns", self.queue_wait_ns.load(Ordering::Relaxed)),
             ("serve_ns", self.serve_ns.load(Ordering::Relaxed)),
             ("decodes", reader.decodes),

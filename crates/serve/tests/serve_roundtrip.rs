@@ -93,11 +93,16 @@ fn protocol_errors_keep_the_connection_alive() {
     let mut client = Client::connect(server.addr()).expect("connect");
 
     // Unknown verb → ERR, then the same connection still serves.
-    let err = client.region("not-a-region").expect_err("bad spec rejected");
+    let err = client
+        .region("not-a-region")
+        .expect_err("bad spec rejected");
     assert!(matches!(err, ServeError::Remote(_)), "{err}");
     // Out-of-extent region → the store's BadRegion, relayed as ERR.
     let err = client.region("0:99,:").expect_err("oversized rejected");
-    assert!(matches!(err, ServeError::Remote(ref m) if m.contains("region")), "{err}");
+    assert!(
+        matches!(err, ServeError::Remote(ref m) if m.contains("region")),
+        "{err}"
+    );
     let (shape, _) = client.region("0:4,:").expect("connection survived");
     assert_eq!(shape, vec![4, 6]);
     client.quit().expect("clean quit");

@@ -21,7 +21,11 @@ impl<S: ReadableStorage> DelayBackend<S> {
     /// Wrap `inner`, charging `per_call` per request plus `per_kib` per
     /// 1024 bytes transferred.
     pub fn new(inner: S, per_call: Duration, per_kib: Duration) -> Self {
-        DelayBackend { inner, per_call, per_kib }
+        DelayBackend {
+            inner,
+            per_call,
+            per_kib,
+        }
     }
 
     fn charge(&self, len: u64) {

@@ -59,14 +59,23 @@ impl fmt::Display for StorageError {
         match self {
             StorageError::Io(e) => write!(f, "storage i/o error: {e}"),
             StorageError::OutOfRange { start, end, size } => {
-                write!(f, "range {start}..{end} out of bounds for object of {size} bytes")
+                write!(
+                    f,
+                    "range {start}..{end} out of bounds for object of {size} bytes"
+                )
             }
             StorageError::ShortRead { expected, got } => {
-                write!(f, "backend returned {got} bytes where {expected} were required")
+                write!(
+                    f,
+                    "backend returned {got} bytes where {expected} were required"
+                )
             }
             StorageError::Transient(why) => write!(f, "transient storage failure: {why}"),
             StorageError::Exhausted { attempts, last } => {
-                write!(f, "retry budget exhausted after {attempts} attempts: {last}")
+                write!(
+                    f,
+                    "retry budget exhausted after {attempts} attempts: {last}"
+                )
             }
             StorageError::HttpStatus { status } => {
                 write!(f, "http endpoint answered status {status}")

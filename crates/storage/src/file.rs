@@ -84,7 +84,10 @@ impl ReadableStorage for FileBackend {
         let mut out = vec![0u8; want];
         let got = self.read_full_at(range.start, &mut out)?;
         if got != want {
-            return Err(StorageError::ShortRead { expected: want, got });
+            return Err(StorageError::ShortRead {
+                expected: want,
+                got,
+            });
         }
         Ok(out)
     }
@@ -94,7 +97,10 @@ impl ReadableStorage for FileBackend {
         check_range(&(offset..end), self.size)?;
         let got = self.read_full_at(offset, out)?;
         if got != out.len() {
-            return Err(StorageError::ShortRead { expected: out.len(), got });
+            return Err(StorageError::ShortRead {
+                expected: out.len(),
+                got,
+            });
         }
         Ok(())
     }
@@ -107,7 +113,10 @@ mod tests {
 
     fn temp_file(name: &str, body: &[u8]) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
-        p.push(format!("cliz_storage_file_test_{}_{name}", std::process::id()));
+        p.push(format!(
+            "cliz_storage_file_test_{}_{name}",
+            std::process::id()
+        ));
         let mut f = File::create(&p).unwrap();
         f.write_all(body).unwrap();
         p
@@ -123,7 +132,10 @@ mod tests {
         let mut out = [0u8; 3];
         b.read_exact_at(10, &mut out).unwrap();
         assert_eq!(out, [10, 11, 12]);
-        assert!(matches!(b.get(60..65), Err(StorageError::OutOfRange { .. })));
+        assert!(matches!(
+            b.get(60..65),
+            Err(StorageError::OutOfRange { .. })
+        ));
         let _ = std::fs::remove_file(&p);
     }
 
@@ -136,7 +148,13 @@ mod tests {
         let f = std::fs::OpenOptions::new().write(true).open(&p).unwrap();
         f.set_len(32).unwrap();
         let err = b.get(0..128).unwrap_err();
-        assert!(matches!(err, StorageError::ShortRead { expected: 128, got: 32 }));
+        assert!(matches!(
+            err,
+            StorageError::ShortRead {
+                expected: 128,
+                got: 32
+            }
+        ));
         let _ = std::fs::remove_file(&p);
     }
 

@@ -130,12 +130,15 @@ mod tests {
 
     #[test]
     fn short_read_surfaces_via_default_read_exact_at() {
-        let b = FlakyBackend::new(
-            MemBackend::new(vec![0u8; 64]),
-            vec![Fault::ShortRead(3)],
-        );
+        let b = FlakyBackend::new(MemBackend::new(vec![0u8; 64]), vec![Fault::ShortRead(3)]);
         let mut out = [0u8; 8];
         let err = b.read_exact_at(0, &mut out).unwrap_err();
-        assert!(matches!(err, StorageError::ShortRead { expected: 8, got: 3 }));
+        assert!(matches!(
+            err,
+            StorageError::ShortRead {
+                expected: 8,
+                got: 3
+            }
+        ));
     }
 }

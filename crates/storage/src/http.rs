@@ -138,8 +138,11 @@ impl HttpRangeBackend {
             };
             let value = value.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                content_length =
-                    Some(value.parse().map_err(|_| StorageError::BadResponse("bad content-length"))?);
+                content_length = Some(
+                    value
+                        .parse()
+                        .map_err(|_| StorageError::BadResponse("bad content-length"))?,
+                );
             } else if name.eq_ignore_ascii_case("content-range") {
                 // "bytes a-b/SIZE" (or "bytes */SIZE" on 416).
                 total_size = value
@@ -153,7 +156,11 @@ impl HttpRangeBackend {
             // A 200 means the server ignored the range; reading whole
             // objects defeats the point of a range backend, so treat the
             // endpoint as unusable rather than silently downloading all.
-            200 => return Err(StorageError::BadResponse("server ignored the range request")),
+            200 => {
+                return Err(StorageError::BadResponse(
+                    "server ignored the range request",
+                ))
+            }
             500..=599 => return Err(StorageError::HttpStatus { status }),
             _ => return Err(StorageError::HttpStatus { status }),
         }
@@ -161,7 +168,9 @@ impl HttpRangeBackend {
         let want = (range.end - range.start) as usize;
         let declared = content_length.ok_or(StorageError::BadResponse("missing content-length"))?;
         if declared != want {
-            return Err(StorageError::BadResponse("content-length disagrees with range"));
+            return Err(StorageError::BadResponse(
+                "content-length disagrees with range",
+            ));
         }
         // Bounded by the caller's own range size — `declared == want`.
         let mut body = Vec::with_capacity(declared);

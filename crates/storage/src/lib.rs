@@ -28,7 +28,10 @@
 //! underneath a [`FileBackend`] surfaces as [`StorageError::ShortRead`],
 //! not garbage. See `docs/SERVING.md` for the full contract.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod delay;
 mod error;
@@ -132,7 +135,11 @@ mod tests {
         assert!(check_range(&(3..3), 10).is_ok());
         assert!(matches!(
             check_range(&(5..11), 10),
-            Err(StorageError::OutOfRange { start: 5, end: 11, size: 10 })
+            Err(StorageError::OutOfRange {
+                start: 5,
+                end: 11,
+                size: 10
+            })
         ));
         assert!(matches!(
             check_range(&std::ops::Range { start: 7, end: 3 }, 10),
@@ -155,7 +162,13 @@ mod tests {
         }
         let mut out = [0u8; 8];
         let err = Half.read_exact_at(0, &mut out).unwrap_err();
-        assert!(matches!(err, StorageError::ShortRead { expected: 8, got: 4 }));
+        assert!(matches!(
+            err,
+            StorageError::ShortRead {
+                expected: 8,
+                got: 4
+            }
+        ));
     }
 
     #[test]

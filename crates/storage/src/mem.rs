@@ -17,7 +17,9 @@ pub struct MemBackend {
 impl MemBackend {
     /// Wrap a byte buffer.
     pub fn new(body: Vec<u8>) -> Self {
-        MemBackend { body: Arc::new(body) }
+        MemBackend {
+            body: Arc::new(body),
+        }
     }
 
     /// Wrap an already-shared buffer without copying.
@@ -38,7 +40,10 @@ impl ReadableStorage for MemBackend {
         let view = self
             .body
             .get(range.start as usize..range.end as usize)
-            .ok_or(StorageError::ShortRead { expected: (range.end - range.start) as usize, got: 0 })?;
+            .ok_or(StorageError::ShortRead {
+                expected: (range.end - range.start) as usize,
+                got: 0,
+            })?;
         Ok(view.to_vec())
     }
 }
@@ -54,7 +59,10 @@ mod tests {
         assert_eq!(m.get(0..4).unwrap(), vec![0, 1, 2, 3]);
         assert_eq!(m.get(30..32).unwrap(), vec![30, 31]);
         assert_eq!(m.get(16..16).unwrap(), Vec::<u8>::new());
-        assert!(matches!(m.get(30..33), Err(StorageError::OutOfRange { .. })));
+        assert!(matches!(
+            m.get(30..33),
+            Err(StorageError::OutOfRange { .. })
+        ));
     }
 
     #[test]

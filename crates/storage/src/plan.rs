@@ -87,10 +87,7 @@ mod tests {
         let plan = coalesce(&[item(0, 0..10), item(1, 10..20), item(2, 20..32)], 0);
         assert_eq!(plan.len(), 1);
         assert_eq!(plan[0].range, 0..32);
-        assert_eq!(
-            plan[0].items,
-            vec![(0, 0..10), (1, 10..20), (2, 20..32)]
-        );
+        assert_eq!(plan[0].items, vec![(0, 0..10), (1, 10..20), (2, 20..32)]);
     }
 
     /// Overlapping ranges merge and each item still maps to its own bytes.
@@ -108,10 +105,7 @@ mod tests {
         let plan = coalesce(&[item(2, 20..30), item(0, 0..10), item(1, 10..20)], 0);
         assert_eq!(plan.len(), 1);
         assert_eq!(plan[0].range, 0..30);
-        assert_eq!(
-            plan[0].items,
-            vec![(0, 0..10), (1, 10..20), (2, 20..30)]
-        );
+        assert_eq!(plan[0].items, vec![(0, 0..10), (1, 10..20), (2, 20..30)]);
     }
 
     /// A hole of exactly `gap` bytes merges; one byte more splits.
@@ -157,10 +151,7 @@ mod tests {
     /// Gap accounting chains: a..b, hole, b+g..c, hole, c+g..d all merge.
     #[test]
     fn chained_gaps_merge_transitively() {
-        let plan = coalesce(
-            &[item(0, 0..10), item(1, 12..20), item(2, 22..30)],
-            2,
-        );
+        let plan = coalesce(&[item(0, 0..10), item(1, 12..20), item(2, 22..30)], 2);
         assert_eq!(plan.len(), 1);
         assert_eq!(plan[0].range, 0..30);
     }

@@ -44,7 +44,9 @@ pub struct Dataset {
 impl Dataset {
     /// Builds a dataset with auto-generated dimension names (`dim0`, …).
     pub fn new(name: impl Into<String>, data: Grid<f32>, mask: Option<MaskMap>) -> Self {
-        let dim_names = (0..data.shape().ndim()).map(|d| format!("dim{d}")).collect();
+        let dim_names = (0..data.shape().ndim())
+            .map(|d| format!("dim{d}"))
+            .collect();
         Self {
             name: name.into(),
             dim_names,
@@ -249,10 +251,7 @@ mod tests {
 
     fn sample() -> Dataset {
         let data = Grid::from_fn(Shape::new(&[4, 6]), |c| (c[0] * 6 + c[1]) as f32 * 0.5);
-        let mask = MaskMap::from_flags(
-            data.shape().clone(),
-            (0..24).map(|i| i % 5 != 0).collect(),
-        );
+        let mask = MaskMap::from_flags(data.shape().clone(), (0..24).map(|i| i % 5 != 0).collect());
         let mut ds = Dataset::new("SSH", data, Some(mask));
         ds.dim_names = vec!["lat".into(), "lon".into()];
         ds.set_attr("units", "m");
@@ -402,10 +401,7 @@ mod tests {
 
     #[test]
     fn nan_and_fill_values_survive() {
-        let data = Grid::from_vec(
-            Shape::new(&[3]),
-            vec![f32::NAN, 9.96921e36, -0.0],
-        );
+        let data = Grid::from_vec(Shape::new(&[3]), vec![f32::NAN, 9.96921e36, -0.0]);
         let ds = Dataset::new("weird", data, None);
         let mut buf = Vec::new();
         write_caf(&mut buf, &ds).unwrap();

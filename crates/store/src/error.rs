@@ -16,7 +16,9 @@ pub enum StoreError {
     /// mismatches, oversized strings).
     Invalid(&'static str),
     /// A chunk's stored CRC32 does not match its payload bytes.
-    Checksum { chunk: usize },
+    Checksum {
+        chunk: usize,
+    },
     /// A region query that does not fit the dataset's geometry.
     BadRegion(&'static str),
     /// The chunk codec rejected a payload.

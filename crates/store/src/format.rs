@@ -36,8 +36,8 @@
 //! present before the allocation happens — a corrupt index surfaces as
 //! [`StoreError::Corrupt`], never as a panic or a giant `Vec`.
 
-use crate::error::StoreError;
 use crate::caf::Dataset;
+use crate::error::StoreError;
 use cliz_core::lossless;
 use cliz_format::{spec::CZS1, HeaderReader, HeaderWriter};
 use cliz_grid::{MaskMap, Shape};
@@ -338,8 +338,10 @@ pub fn write_store(
         .map_err(|_| StoreError::Invalid("string too long"))?;
     hw.u16(index.attrs.len() as u16);
     for (k, v) in &index.attrs {
-        hw.str16(k).map_err(|_| StoreError::Invalid("string too long"))?;
-        hw.str16(v).map_err(|_| StoreError::Invalid("string too long"))?;
+        hw.str16(k)
+            .map_err(|_| StoreError::Invalid("string too long"))?;
+        hw.str16(v)
+            .map_err(|_| StoreError::Invalid("string too long"))?;
     }
     hw.u8(index.dims.len() as u8);
     for (name, &extent) in index.dim_names.iter().zip(&index.dims) {
@@ -367,11 +369,7 @@ pub fn write_store(
 }
 
 /// Builds a [`StoreIndex`] from a dataset's metadata plus slab entries.
-pub(crate) fn index_for(
-    ds: &Dataset,
-    chunk_len: usize,
-    entries: Vec<IndexEntry>,
-) -> StoreIndex {
+pub(crate) fn index_for(ds: &Dataset, chunk_len: usize, entries: Vec<IndexEntry>) -> StoreIndex {
     StoreIndex {
         name: ds.name.clone(),
         dim_names: ds.dim_names.clone(),
@@ -390,8 +388,16 @@ mod tests {
     fn tiny_index() -> (StoreIndex, Vec<u8>) {
         let payload = vec![7u8; 30];
         let entries = vec![
-            IndexEntry { offset: 0, len: 12, checksum: crate::checksum::crc32(&payload[..12]) },
-            IndexEntry { offset: 12, len: 18, checksum: crate::checksum::crc32(&payload[12..]) },
+            IndexEntry {
+                offset: 0,
+                len: 12,
+                checksum: crate::checksum::crc32(&payload[..12]),
+            },
+            IndexEntry {
+                offset: 12,
+                len: 18,
+                checksum: crate::checksum::crc32(&payload[12..]),
+            },
         ];
         let index = StoreIndex {
             name: "T".into(),
@@ -460,8 +466,11 @@ mod tests {
         write_store(&mut buf, &index, None, &payload).unwrap();
         let parsed = parse_store(&buf).unwrap();
         assert_eq!(parsed.index.entries.len(), 2); // ceil(6/3)
-        // Claiming a different chunk_len breaks the derived count.
-        let mut bad = StoreIndex { chunk_len: 2, ..index };
+                                                   // Claiming a different chunk_len breaks the derived count.
+        let mut bad = StoreIndex {
+            chunk_len: 2,
+            ..index
+        };
         bad.entries.truncate(2);
         let mut buf = Vec::new();
         assert!(write_store(&mut buf, &bad, None, &payload).is_err());

@@ -37,8 +37,8 @@
 //! ```
 
 pub mod atomic;
-pub mod caf;
 pub mod cache;
+pub mod caf;
 pub mod checksum;
 pub mod error;
 pub mod format;
@@ -47,8 +47,8 @@ pub mod reader;
 pub(crate) mod sync;
 
 pub use atomic::write_atomic;
-pub use caf::{load, read_caf, save, write_caf, Dataset};
 pub use cache::{CacheStats, ChunkCache};
+pub use caf::{load, read_caf, save, write_caf, Dataset};
 pub use error::StoreError;
 pub use format::{IndexEntry, StoreIndex};
 pub use pack::{pack_store, pack_store_to, save_store};

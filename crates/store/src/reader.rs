@@ -325,7 +325,8 @@ impl ChunkStoreReader {
         let want = (range.end.saturating_sub(range.start)) as usize;
         let got = self.storage.get(range)?;
         self.backend_gets.fetch_add(1, Ordering::Relaxed);
-        self.backend_bytes.fetch_add(got.len() as u64, Ordering::Relaxed);
+        self.backend_bytes
+            .fetch_add(got.len() as u64, Ordering::Relaxed);
         if got.len() != want {
             // A backend that acknowledges a range and then under-delivers
             // (truncated file, lying server, injected fault) is a contract
@@ -697,7 +698,11 @@ mod tests {
         let cut = parsed.payload.start as u64 + 8;
         let backend = FlakyBackend::new(
             MemBackend::new(bytes),
-            vec![Fault::TruncateAt(cut), Fault::TruncateAt(cut), Fault::TruncateAt(cut)],
+            vec![
+                Fault::TruncateAt(cut),
+                Fault::TruncateAt(cut),
+                Fault::TruncateAt(cut),
+            ],
         );
         assert!(matches!(
             ChunkStoreReader::from_storage(Arc::new(backend), DEFAULT_CACHE_BUDGET).err(),

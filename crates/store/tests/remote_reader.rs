@@ -31,8 +31,7 @@ fn http_reader_matches_memory_reader_with_coalesced_requests() {
 
     let server = BlobHttpServer::start(bytes).expect("loopback server");
     let backend = HttpRangeBackend::new(&server.url()).expect("url parses");
-    let remote = ChunkStoreReader::from_storage(Arc::new(backend), 64 << 20)
-        .expect("remote open");
+    let remote = ChunkStoreReader::from_storage(Arc::new(backend), 64 << 20).expect("remote open");
 
     assert_eq!(remote.name(), local.name());
     assert_eq!(remote.dims(), local.dims());
@@ -62,14 +61,15 @@ fn transient_server_errors_are_retried_transparently() {
     let bytes = packed_store();
     let server = BlobHttpServer::start(bytes.clone()).expect("loopback server");
     let backend = HttpRangeBackend::new(&server.url()).expect("url parses");
-    let remote = ChunkStoreReader::from_storage(Arc::new(backend), 64 << 20)
-        .expect("remote open");
+    let remote = ChunkStoreReader::from_storage(Arc::new(backend), 64 << 20).expect("remote open");
 
     // Two consecutive 500s: the backend's retry budget (3) absorbs them
     // and the region still decodes correctly.
     server.misbehave(Misbehaviour::ServerError, 2);
     let local = ChunkStoreReader::from_bytes(bytes).expect("local open");
-    let a = remote.read_region(&[0..5, 0..12]).expect("survives 5xx burst");
+    let a = remote
+        .read_region(&[0..5, 0..12])
+        .expect("survives 5xx burst");
     let b = local.read_region(&[0..5, 0..12]).expect("local region");
     assert_eq!(a.as_slice(), b.as_slice());
 }

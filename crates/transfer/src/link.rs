@@ -108,7 +108,11 @@ mod tests {
         // with one file there is one lane but per-stream share still applies:
         // streams = min(max, files) = 1 -> full bandwidth).
         let r = link().transfer(&[1_000_000_000]);
-        assert!((r.seconds - (0.03 + 0.01 + 1.0)).abs() < 1e-9, "{}", r.seconds);
+        assert!(
+            (r.seconds - (0.03 + 0.01 + 1.0)).abs() < 1e-9,
+            "{}",
+            r.seconds
+        );
     }
 
     #[test]

@@ -46,7 +46,10 @@ pub fn build<'a>(files: &'a [(String, Vec<FnItem>)]) -> Graph<'a> {
 
     let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
     for (idx, node) in nodes.iter().enumerate() {
-        by_name.entry(node.item.name.as_str()).or_default().push(idx);
+        by_name
+            .entry(node.item.name.as_str())
+            .or_default()
+            .push(idx);
     }
 
     let mut edges = Vec::with_capacity(nodes.len());

@@ -151,7 +151,10 @@ pub fn analyze(files: &[(String, String)]) -> Vec<ContractFinding> {
 
         let mut covered: HashSet<&str> = HashSet::new();
         let mut covered_entries: HashSet<&str> = HashSet::new();
-        for ctx in ctxs.iter().filter(|c| c.is_test && has_bound_assert(&c.raw)) {
+        for ctx in ctxs
+            .iter()
+            .filter(|c| c.is_test && has_bound_assert(&c.raw))
+        {
             // Direct mentions in the test file itself.
             for (name, _, _) in &implementors {
                 if mentions(&ctx.raw, name) {
@@ -291,7 +294,9 @@ fn compressor_impls(active: &str) -> Vec<(String, usize)> {
                 j += 1;
             }
         }
-        let Some((k, c)) = next_nonws(b, j) else { break };
+        let Some((k, c)) = next_nonws(b, j) else {
+            break;
+        };
         if !lexer::is_ident(c) || ident_at(b, k) != "Compressor" {
             continue;
         }
@@ -371,7 +376,9 @@ fn eb_scaling_sites(active: &str) -> Vec<usize> {
             if c != b'.' {
                 break;
             }
-            let Some((k, c2)) = prev_nonws(b, j) else { break };
+            let Some((k, c2)) = prev_nonws(b, j) else {
+                break;
+            };
             if !lexer::is_ident(c2) {
                 break;
             }

@@ -79,7 +79,15 @@ const HAZARD_SCOPE: &[&str] = &[
 /// (`f32()`, `f64()`) are deliberately absent: floats are not lengths and
 /// cannot overflow-panic.
 const PRIMITIVES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "len64", "varint", "u32_le", "u64_le", "from_le_bytes",
+    "u8",
+    "u16",
+    "u32",
+    "u64",
+    "len64",
+    "varint",
+    "u32_le",
+    "u64_le",
+    "from_le_bytes",
 ];
 
 /// Call names whose presence in an initializer marks the bound value as
@@ -542,8 +550,7 @@ fn apply_statement_effects(
     // `x = rhs` / `x op= rhs` at statement start (possibly `recv.f = rhs`).
     if let Some(eq) = top_level_assign(b) {
         let (lhs, rhs) = (&stmt[..eq.0], &stmt[eq.1..]);
-        let rhs_tainted =
-            expr_tainted(rhs, tainted, sources, fields) && !has_sanitizer(rhs);
+        let rhs_tainted = expr_tainted(rhs, tainted, sources, fields) && !has_sanitizer(rhs);
         let lhs_idents: Vec<&str> = idents_of(lhs).into_iter().collect();
         // Field store: `obj.f = rhs` — last ident preceded by `.`.
         let lb = lhs.as_bytes();
@@ -751,9 +758,7 @@ fn scan_hazards(
         if next_nonws(sb, i).is_some_and(|(_, c)| c == b'(') {
             if ALLOC_CALLS.contains(&w) {
                 if let Some(arg) = call_args(stmt, i) {
-                    if expr_contains_tainted_atom(arg, tainted, fields)
-                        && !has_sanitizer(arg)
-                    {
+                    if expr_contains_tainted_atom(arg, tainted, fields) && !has_sanitizer(arg) {
                         out.push((
                             line,
                             format!(

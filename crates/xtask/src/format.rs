@@ -223,7 +223,10 @@ fn spec_magic_value(b: &[u8], from: usize) -> Option<u64> {
 }
 
 fn find_byte(b: &[u8], from: usize, target: u8) -> Option<usize> {
-    b.get(from..)?.iter().position(|&c| c == target).map(|p| from + p)
+    b.get(from..)?
+        .iter()
+        .position(|&c| c == target)
+        .map(|p| from + p)
 }
 
 /// Parses a decimal or `0x…` integer literal (with `_` separators) at the
@@ -396,7 +399,12 @@ struct Helpers {
 }
 
 impl Helpers {
-    fn resolve(&self, name: &str, caller_crate: &str, product: &[SrcFile]) -> Option<(usize, usize)> {
+    fn resolve(
+        &self,
+        name: &str,
+        caller_crate: &str,
+        product: &[SrcFile],
+    ) -> Option<(usize, usize)> {
         let cands = self.by_name.get(name)?;
         let same: Vec<_> = cands
             .iter()
@@ -547,9 +555,8 @@ fn scan_evidence(
             if !b[after..].starts_with(b".magic") || b.get(after + 6) == Some(&b'(') {
                 continue;
             }
-            let is_cmp = prev_nonws(b, q).is_some_and(|(j, c)| {
-                c == b'=' && j > 0 && (b[j - 1] == b'!' || b[j - 1] == b'=')
-            });
+            let is_cmp = prev_nonws(b, q)
+                .is_some_and(|(j, c)| c == b'=' && j > 0 && (b[j - 1] == b'!' || b[j - 1] == b'='));
             evs.push(Ev {
                 kind: if is_cmp { Kind::Reader } else { Kind::Writer },
                 spec: spec.to_string(),
@@ -713,10 +720,18 @@ fn classify(product: &[SrcFile], reg: &Registry) -> Class {
                         at,
                     };
                     match kind {
-                        Kind::Writer => class.writers.entry((*s).to_string()).or_default().push(party),
+                        Kind::Writer => class
+                            .writers
+                            .entry((*s).to_string())
+                            .or_default()
+                            .push(party),
                         Kind::Reader => {
                             class.reader_fns.insert((fi, ii));
-                            class.readers.entry((*s).to_string()).or_default().push(party)
+                            class
+                                .readers
+                                .entry((*s).to_string())
+                                .or_default()
+                                .push(party)
                         }
                     }
                 }
@@ -1418,7 +1433,10 @@ fn r16(
             continue;
         }
         for (ii, it) in f.items.iter().enumerate() {
-            name_index.entry(it.name.as_str()).or_default().push((fi, ii));
+            name_index
+                .entry(it.name.as_str())
+                .or_default()
+                .push((fi, ii));
         }
     }
     let bfs = |roots: Vec<(usize, usize)>, noise: &[&str]| -> HashSet<(usize, usize)> {

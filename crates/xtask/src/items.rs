@@ -71,10 +71,10 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 
 /// Keywords that can syntactically precede `(` without being a call.
 pub(crate) const NON_CALL_KEYWORDS: &[&str] = &[
-    "if", "else", "match", "while", "for", "loop", "return", "fn", "let", "in", "as", "ref",
-    "mut", "move", "unsafe", "where", "impl", "pub", "use", "mod", "struct", "enum", "trait",
-    "type", "const", "static", "break", "continue", "dyn", "crate", "super", "self", "Self",
-    "async", "await", "box", "yield",
+    "if", "else", "match", "while", "for", "loop", "return", "fn", "let", "in", "as", "ref", "mut",
+    "move", "unsafe", "where", "impl", "pub", "use", "mod", "struct", "enum", "trait", "type",
+    "const", "static", "break", "continue", "dyn", "crate", "super", "self", "Self", "async",
+    "await", "box", "yield",
 ];
 
 /// An `impl` block's byte range and the implemented type's name.
@@ -428,7 +428,9 @@ fn push_field(
                     m += 2;
                     continue;
                 }
-                let Some((p, c)) = prev_nonws(b, m) else { return };
+                let Some((p, c)) = prev_nonws(b, m) else {
+                    return;
+                };
                 if !is_ident(c) {
                     return;
                 }
@@ -487,7 +489,11 @@ mod tests {
             .collect();
         assert_eq!(
             h,
-            vec![(2, "indexing `buf[..]`"), (3, "`.unwrap(..)`"), (4, "`panic!`")]
+            vec![
+                (2, "indexing `buf[..]`"),
+                (3, "`.unwrap(..)`"),
+                (4, "`panic!`")
+            ]
         );
     }
 
@@ -508,7 +514,11 @@ mod tests {
         assert!(outer.hazards.is_empty());
         assert_eq!(inner.hazards.len(), 1);
         assert_eq!(
-            outer.calls.iter().map(|c| c.callee.as_str()).collect::<Vec<_>>(),
+            outer
+                .calls
+                .iter()
+                .map(|c| c.callee.as_str())
+                .collect::<Vec<_>>(),
             vec!["other"]
         );
     }
@@ -525,7 +535,8 @@ mod tests {
 
     #[test]
     fn test_code_is_invisible() {
-        let src = "fn prod() {}\n#[cfg(test)]\nmod tests {\n    fn t(buf: &[u8]) -> u8 { buf[0] }\n}\n";
+        let src =
+            "fn prod() {}\n#[cfg(test)]\nmod tests {\n    fn t(buf: &[u8]) -> u8 { buf[0] }\n}\n";
         let items = parse(src);
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].name, "prod");
@@ -560,7 +571,14 @@ mod tests {
         let fields = parse_fields(&lexed.code, &lines);
         let got: Vec<(&str, &str, &str, usize)> = fields
             .iter()
-            .map(|f| (f.struct_name.as_str(), f.name.as_str(), f.ty.as_str(), f.line))
+            .map(|f| {
+                (
+                    f.struct_name.as_str(),
+                    f.name.as_str(),
+                    f.ty.as_str(),
+                    f.line,
+                )
+            })
             .collect();
         assert_eq!(
             got,

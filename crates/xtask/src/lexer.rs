@@ -370,9 +370,8 @@ pub fn blank_test_items(code: &str) -> String {
             break;
         }
         let attr_end = j; // index of ']'
-        let is_test_attr = attr == "[cfg(test)]"
-            || attr == "[test]"
-            || attr.starts_with("[cfg(all(test"); // cfg(all(test, ...)), whitespace removed
+        let is_test_attr =
+            attr == "[cfg(test)]" || attr == "[test]" || attr.starts_with("[cfg(all(test"); // cfg(all(test, ...)), whitespace removed
         if !is_test_attr {
             i = attr_end + 1;
             continue;
@@ -519,7 +518,10 @@ mod tests {
         let lexed = strip(src);
         assert!(lexed.code.contains("let ok = 1;"));
         assert_eq!(lexed.comments.len(), 2);
-        assert!(!lexed.comments[1].own_line, "trailing comment shares its line");
+        assert!(
+            !lexed.comments[1].own_line,
+            "trailing comment shares its line"
+        );
     }
 
     #[test]

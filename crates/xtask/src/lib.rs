@@ -106,26 +106,23 @@ pub fn lint_sources(files: &[(String, String)]) -> Report {
         product_files.push((rel.clone(), source.clone()));
     }
 
-    let push = |report: &mut Report,
-                    rule: &'static str,
-                    file: String,
-                    line: usize,
-                    message: String| {
-        let suppressed = sups_by_file
-            .iter()
-            .find(|(rel, _)| *rel == file)
-            .is_some_and(|(_, sups)| sups.iter().any(|s| s.covers(rule, line)));
-        if suppressed {
-            report.suppressed += 1;
-        } else {
-            report.violations.push(FileViolation {
-                file,
-                rule,
-                line,
-                message,
-            });
-        }
-    };
+    let push =
+        |report: &mut Report, rule: &'static str, file: String, line: usize, message: String| {
+            let suppressed = sups_by_file
+                .iter()
+                .find(|(rel, _)| *rel == file)
+                .is_some_and(|(_, sups)| sups.iter().any(|s| s.covers(rule, line)));
+            if suppressed {
+                report.suppressed += 1;
+            } else {
+                report.violations.push(FileViolation {
+                    file,
+                    rule,
+                    line,
+                    message,
+                });
+            }
+        };
 
     // Workspace pass: R5 panic reachability over the call graph.
     for f in taint::analyze(&all_items) {

@@ -340,7 +340,9 @@ fn scan_events(
             continue;
         }
 
-        let Some((open_paren, c)) = next else { continue };
+        let Some((open_paren, c)) = next else {
+            continue;
+        };
         if c != b'(' || NON_CALL_KEYWORDS.contains(&word) {
             continue;
         }
@@ -355,8 +357,9 @@ fn scan_events(
                     let r_start = p + 1 - r.len();
                     let self_qualified = prev_nonws(b, r_start).is_some_and(|(q, cq)| {
                         cq == b'.'
-                            && prev_nonws(b, q)
-                                .is_some_and(|(q2, c2)| is_ident(c2) && ident_ending_at(b, q2 + 1) == "self")
+                            && prev_nonws(b, q).is_some_and(|(q2, c2)| {
+                                is_ident(c2) && ident_ending_at(b, q2 + 1) == "self"
+                            })
                     });
                     if r == "self" {
                         Recv::OnSelf
@@ -555,16 +558,11 @@ pub fn analyze(files: &[(String, String)]) -> Vec<LockFinding> {
                 .map(|n| (n.start, n.end))
                 .collect();
             let sig = &pf.active[it.start..it.body_open];
-            let guard_helper = sig
-                .find("->")
-                .is_some_and(|p| sig[p..].contains("Guard"));
+            let guard_helper = sig.find("->").is_some_and(|p| sig[p..].contains("Guard"));
             let events = scan_events(&pf.active, &lines, it, &nested, &lock_fields);
             let mut direct = HashSet::new();
             for ev in &events {
-                if let Ev::Acquire {
-                    field: Some(f), ..
-                } = ev
-                {
+                if let Ev::Acquire { field: Some(f), .. } = ev {
                     direct.insert(f.clone());
                 }
             }
@@ -726,9 +724,11 @@ pub fn analyze(files: &[(String, String)]) -> Vec<LockFinding> {
                                 });
                             } else {
                                 for f in &callee_acquires {
-                                    edges
-                                        .entry((gf.clone(), (*f).clone()))
-                                        .or_insert((file.clone(), *line, fname.clone()));
+                                    edges.entry((gf.clone(), (*f).clone())).or_insert((
+                                        file.clone(),
+                                        *line,
+                                        fname.clone(),
+                                    ));
                                 }
                             }
                         }
@@ -829,7 +829,9 @@ mod tests {
         let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 6);
-        assert!(f[0].message.contains("held across call to `decode_block(..)`"));
+        assert!(f[0]
+            .message
+            .contains("held across call to `decode_block(..)`"));
     }
 
     #[test]
@@ -882,8 +884,16 @@ mod tests {
             }\n";
         let f = run(src);
         assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f[0].message.contains("while a guard on `q` is still live"), "{}", f[0].message);
-        assert!(f[1].message.contains("may re-acquire lock `q`"), "{}", f[1].message);
+        assert!(
+            f[0].message.contains("while a guard on `q` is still live"),
+            "{}",
+            f[0].message
+        );
+        assert!(
+            f[1].message.contains("may re-acquire lock `q`"),
+            "{}",
+            f[1].message
+        );
     }
 
     #[test]
@@ -904,7 +914,9 @@ mod tests {
             }\n";
         let f = run(src);
         assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().all(|x| x.message.contains("inconsistent lock order")));
+        assert!(f
+            .iter()
+            .all(|x| x.message.contains("inconsistent lock order")));
     }
 
     #[test]
@@ -942,7 +954,11 @@ mod tests {
             fn decode_block(n: usize) -> usize { n }\n";
         let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("guard on `inner`"), "{}", f[0].message);
+        assert!(
+            f[0].message.contains("guard on `inner`"),
+            "{}",
+            f[0].message
+        );
     }
 
     #[test]
@@ -956,7 +972,12 @@ mod tests {
                 }\n\
             }\n\
             fn decode_block(n: usize) -> usize { n }\n";
-        for path in ["crates/xtask/src/x.rs", "crates/bench/src/y.rs", "crates/loom/src/z.rs", "tests/t.rs"] {
+        for path in [
+            "crates/xtask/src/x.rs",
+            "crates/bench/src/y.rs",
+            "crates/loom/src/z.rs",
+            "tests/t.rs",
+        ] {
             assert!(
                 analyze(&[(path.to_string(), src.to_string())]).is_empty(),
                 "{path} should be exempt"

@@ -261,7 +261,8 @@ pub fn ratchet(report: &Report, baseline: &Baseline) -> RatchetOutcome {
         } else {
             out.known += count;
             if count < allowed {
-                out.stale.push((key.0.clone(), key.1.clone(), count, allowed));
+                out.stale
+                    .push((key.0.clone(), key.1.clone(), count, allowed));
             }
         }
     }
@@ -425,7 +426,10 @@ mod tests {
             parse_baseline("{\"version\": 1, \"entries\": [{\"rule\": \"R5\", \"file\": \"crates/a/src/lib.rs\", \"count\": 1}]}")
                 .expect("parse");
         // Same count: tolerated.
-        let same = ratchet(&report_with(vec![("R5", "crates/a/src/lib.rs", 3)]), &baseline);
+        let same = ratchet(
+            &report_with(vec![("R5", "crates/a/src/lib.rs", 3)]),
+            &baseline,
+        );
         assert!(!same.is_regression());
         assert_eq!(same.known, 1);
         // Growth in a known file: regression.
@@ -440,7 +444,10 @@ mod tests {
         assert_eq!(grown.regressions[0].2, 2);
         assert_eq!(grown.regressions[0].3, 1);
         // New file not in the baseline: regression.
-        let new_file = ratchet(&report_with(vec![("R5", "crates/z/src/lib.rs", 1)]), &baseline);
+        let new_file = ratchet(
+            &report_with(vec![("R5", "crates/z/src/lib.rs", 1)]),
+            &baseline,
+        );
         assert!(new_file.is_regression());
     }
 
@@ -449,7 +456,10 @@ mod tests {
         let baseline =
             parse_baseline("{\"version\": 1, \"entries\": [{\"rule\": \"R5\", \"file\": \"crates/a/src/lib.rs\", \"count\": 2}]}")
                 .expect("parse");
-        let shrunk = ratchet(&report_with(vec![("R5", "crates/a/src/lib.rs", 3)]), &baseline);
+        let shrunk = ratchet(
+            &report_with(vec![("R5", "crates/a/src/lib.rs", 3)]),
+            &baseline,
+        );
         assert!(!shrunk.is_regression());
         assert_eq!(shrunk.stale.len(), 1);
         let cleared = ratchet(&report_with(vec![]), &baseline);

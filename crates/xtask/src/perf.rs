@@ -459,7 +459,10 @@ mod tests {
             .iter()
             .map(|(p, s)| (p.to_string(), s.to_string()))
             .collect();
-        let mut v: Vec<_> = analyze(&owned).into_iter().map(|f| (f.rule, f.line)).collect();
+        let mut v: Vec<_> = analyze(&owned)
+            .into_iter()
+            .map(|f| (f.rule, f.line))
+            .collect();
         v.sort();
         v
     }

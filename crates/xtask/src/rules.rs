@@ -331,9 +331,7 @@ pub fn analyze_file(rel_path: &str, source: &str) -> FileAnalysis {
                 continue;
             }
             // Panicking macros.
-            if PANIC_MACROS.contains(&word)
-                && next_nonws(b, i).is_some_and(|(_, c)| c == b'!')
-            {
+            if PANIC_MACROS.contains(&word) && next_nonws(b, i).is_some_and(|(_, c)| c == b'!') {
                 raw.push(Violation {
                     rule: "R1",
                     line,
@@ -342,9 +340,7 @@ pub fn analyze_file(rel_path: &str, source: &str) -> FileAnalysis {
                 continue;
             }
             // Direct indexing of decoder input buffers.
-            if INPUT_NAMES.contains(&word)
-                && next_nonws(b, i).is_some_and(|(_, c)| c == b'[')
-            {
+            if INPUT_NAMES.contains(&word) && next_nonws(b, i).is_some_and(|(_, c)| c == b'[') {
                 raw.push(Violation {
                     rule: "R1",
                     line,

@@ -30,7 +30,9 @@
 
 use crate::contracts::is_test_path;
 use crate::items::{self, FieldDecl};
-use crate::lexer::{self, ident_at, ident_ending_at, ident_starts_at, is_ident, next_nonws, prev_nonws, Lines};
+use crate::lexer::{
+    self, ident_at, ident_ending_at, ident_starts_at, is_ident, next_nonws, prev_nonws, Lines,
+};
 use std::collections::{HashMap, HashSet};
 
 /// Crates exempt from R10: dev tooling and the vendored loom model checker
@@ -57,7 +59,15 @@ const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"
 /// Field names that read as counters when declared as bare integers inside
 /// a sync-shared struct.
 const COUNTER_NAMES: &[&str] = &[
-    "hits", "misses", "evictions", "decodes", "encodes", "tick", "ticks", "seq", "epoch",
+    "hits",
+    "misses",
+    "evictions",
+    "decodes",
+    "encodes",
+    "tick",
+    "ticks",
+    "seq",
+    "epoch",
 ];
 
 /// Interior-mutability type markers in a returned reference.
@@ -156,7 +166,9 @@ fn check_tokens(rel: &str, active: &str, lines: &Lines, findings: &mut Vec<Share
                 });
             }
         } else if word == "unsafe" {
-            let Some((j, c)) = next_nonws(b, i) else { continue };
+            let Some((j, c)) = next_nonws(b, i) else {
+                continue;
+            };
             if !is_ident(c) || ident_at(b, j) != "impl" {
                 continue;
             }
@@ -199,8 +211,7 @@ fn check_counters(rel: &str, fields: &[FieldDecl], findings: &mut Vec<SharedFind
         if !sync_structs.contains(fd.struct_name.as_str()) {
             continue;
         }
-        let counterish =
-            fd.name.contains("count") || COUNTER_NAMES.contains(&fd.name.as_str());
+        let counterish = fd.name.contains("count") || COUNTER_NAMES.contains(&fd.name.as_str());
         if counterish && INT_TYPES.contains(&fd.ty.as_str()) {
             findings.push(SharedFinding {
                 file: rel.to_string(),
@@ -219,7 +230,9 @@ fn check_escapes(rel: &str, active: &str, lines: &Lines, findings: &mut Vec<Shar
     let items = items::parse_items(active, &Lines::new(active));
     for it in &items {
         let sig = &active[it.start..it.body_open];
-        let Some(arrow) = sig.find("->") else { continue };
+        let Some(arrow) = sig.find("->") else {
+            continue;
+        };
         let (params, ret) = sig.split_at(arrow);
         if !params.contains("&self") || params.contains("&mut self") {
             continue;
@@ -257,15 +270,21 @@ fn collect_atomic_sites(
         let Some(&(_, reads, writes)) = ATOMIC_OPS.iter().find(|(n, _, _)| *n == word) else {
             continue;
         };
-        let Some((open, c)) = next_nonws(b, i) else { continue };
+        let Some((open, c)) = next_nonws(b, i) else {
+            continue;
+        };
         if c != b'(' {
             continue;
         }
-        let Some((dot, cd)) = prev_nonws(b, start) else { continue };
+        let Some((dot, cd)) = prev_nonws(b, start) else {
+            continue;
+        };
         if cd != b'.' {
             continue;
         }
-        let Some((p, cr)) = prev_nonws(b, dot) else { continue };
+        let Some((p, cr)) = prev_nonws(b, dot) else {
+            continue;
+        };
         if !is_ident(cr) {
             continue;
         }
@@ -406,7 +425,11 @@ mod tests {
         let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 4);
-        assert!(f[0].message.contains("written with `Relaxed`"), "{}", f[0].message);
+        assert!(
+            f[0].message.contains("written with `Relaxed`"),
+            "{}",
+            f[0].message
+        );
     }
 
     #[test]
@@ -426,7 +449,11 @@ mod tests {
             pub struct S { inner: Mutex<Vec<u8>>, hits: u64 }\n";
         let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("non-atomic counter `hits: u64`"), "{}", f[0].message);
+        assert!(
+            f[0].message.contains("non-atomic counter `hits: u64`"),
+            "{}",
+            f[0].message
+        );
     }
 
     #[test]
@@ -452,13 +479,22 @@ mod tests {
             }\n";
         let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("method `cell` returns a reference"), "{}", f[0].message);
+        assert!(
+            f[0].message.contains("method `cell` returns a reference"),
+            "{}",
+            f[0].message
+        );
     }
 
     #[test]
     fn exempt_and_test_paths_skipped() {
         let src = "static mut X: u64 = 0;\n";
-        for path in ["crates/xtask/src/a.rs", "crates/bench/src/b.rs", "crates/loom/src/c.rs", "tests/d.rs"] {
+        for path in [
+            "crates/xtask/src/a.rs",
+            "crates/bench/src/b.rs",
+            "crates/loom/src/c.rs",
+            "tests/d.rs",
+        ] {
             assert!(
                 analyze(&[(path.to_string(), src.to_string())]).is_empty(),
                 "{path} should be exempt"

@@ -167,7 +167,9 @@ mod tests {
     fn untainted_code_is_clean() {
         let files = vec![(
             "crates/a/src/lib.rs".to_string(),
-            items_of("pub fn encode_only(v: &[f32]) -> usize { v.len().checked_mul(2).unwrap() }\n"),
+            items_of(
+                "pub fn encode_only(v: &[f32]) -> usize { v.len().checked_mul(2).unwrap() }\n",
+            ),
         )];
         assert!(analyze(&files).is_empty());
     }

@@ -53,7 +53,10 @@ fn r3_requires_result_on_pub_codec_entry_points() {
     let src = include_str!("fixtures/r3_entry.rs");
     // Line 1: pub compress_* without Result. The Result-returning
     // decompress_block (line 6) and the private helper (line 11) pass.
-    assert_eq!(hits("crates/baselines/src/fixture.rs", src), vec![("R3", 1)]);
+    assert_eq!(
+        hits("crates/baselines/src/fixture.rs", src),
+        vec![("R3", 1)]
+    );
 }
 
 #[test]
@@ -142,7 +145,13 @@ fn r5_is_silent_without_a_seed_and_in_exempt_crates() {
     // The same tainted pair under an exempt crate raises nothing.
     let exempt: Vec<(String, String)> = r5_workspace()
         .into_iter()
-        .map(|(p, s)| (p.replace("crates/alpha", "crates/xtask").replace("crates/beta", "crates/bench"), s))
+        .map(|(p, s)| {
+            (
+                p.replace("crates/alpha", "crates/xtask")
+                    .replace("crates/beta", "crates/bench"),
+                s,
+            )
+        })
         .collect();
     assert_eq!(lint_sources(&exempt).violations.len(), 0);
 }
@@ -570,7 +579,8 @@ fn format_rules_are_scoped_to_container_crates() {
     ];
     let got = workspace_hits(&files);
     assert!(
-        got.iter().all(|(r, _)| *r != "R14" && *r != "R15" && *r != "R16"),
+        got.iter()
+            .all(|(r, _)| *r != "R14" && *r != "R15" && *r != "R16"),
         "format rules fired out of scope: {got:?}"
     );
 }

@@ -26,9 +26,7 @@ fn main() {
         let bytes = compressor
             .compress(&field.data, field.mask.as_ref(), bound)
             .unwrap();
-        let recon = compressor
-            .decompress(&bytes, field.mask.as_ref())
-            .unwrap();
+        let recon = compressor.decompress(&bytes, field.mask.as_ref()).unwrap();
         let a = analyze_errors(
             field.data.as_slice(),
             recon.as_slice(),

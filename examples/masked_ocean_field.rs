@@ -44,9 +44,18 @@ fn main() {
     let b3 = cliz::compress(&field.data, field.mask.as_ref(), bound, &with_mask).expect("cliz");
 
     println!("\ncompression ratios at rel eb 1e-3:");
-    println!("  SZ3 (mask-blind)      {:8.2}x", original as f64 / b1.len() as f64);
-    println!("  CliZ, mask disabled   {:8.2}x", original as f64 / b2.len() as f64);
-    println!("  CliZ, mask-aware      {:8.2}x", original as f64 / b3.len() as f64);
+    println!(
+        "  SZ3 (mask-blind)      {:8.2}x",
+        original as f64 / b1.len() as f64
+    );
+    println!(
+        "  CliZ, mask disabled   {:8.2}x",
+        original as f64 / b2.len() as f64
+    );
+    println!(
+        "  CliZ, mask-aware      {:8.2}x",
+        original as f64 / b3.len() as f64
+    );
 
     // Verify the reconstruction honours the bound on valid points and
     // restores the fill value on masked ones.

@@ -43,15 +43,14 @@ fn main() {
     let d_time = t0.elapsed();
 
     let psnr = cliz::metrics::psnr(field.data.as_slice(), recon.as_slice(), field.mask.as_ref());
-    let max_err = cliz::metrics::max_abs_error(
-        field.data.as_slice(),
-        recon.as_slice(),
-        field.mask.as_ref(),
-    );
+    let max_err =
+        cliz::metrics::max_abs_error(field.data.as_slice(), recon.as_slice(), field.mask.as_ref());
     println!("decompressed in {d_time:.2?}: PSNR {psnr:.1} dB, max error {max_err:.2e}");
 
     // The error-bound contract, demonstrated.
-    let ErrorBound::Abs(eb_abs) = bound else { unreachable!() };
+    let ErrorBound::Abs(eb_abs) = bound else {
+        unreachable!()
+    };
     assert!(max_err <= eb_abs, "error bound violated!");
     println!("error bound {eb_abs:.2e} holds on every valid point ✓");
 }

@@ -70,10 +70,6 @@ fn main() {
     let raw = link.transfer(&vec![original as u64; n_files]);
     println!(
         "{:8}  compress {:7.3}s  transfer {:7.3}s  total {:7.3}s  (   1.0x, {} B shipped)",
-        "raw",
-        0.0,
-        raw.seconds,
-        raw.seconds,
-        raw.total_bytes
+        "raw", 0.0, raw.seconds, raw.seconds, raw.total_bytes
     );
 }

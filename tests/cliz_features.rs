@@ -65,10 +65,7 @@ fn permutation_matters_on_anisotropic_data() {
         let b = cliz::compress(&d.data, None, bound, &cfg).unwrap();
         ratios.push((perm, ratio(&b, d.data.len())));
     }
-    let best = ratios
-        .iter()
-        .map(|r| r.1)
-        .fold(f64::NEG_INFINITY, f64::max);
+    let best = ratios.iter().map(|r| r.1).fold(f64::NEG_INFINITY, f64::max);
     let worst = ratios.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
     assert!(
         best / worst > 1.02,

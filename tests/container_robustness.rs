@@ -1,8 +1,8 @@
 //! Container-format robustness: corrupt, truncated, or cross-format streams
 //! must fail cleanly (errors, never panics or wrong silent output).
 
-use cliz::prelude::*;
 use cliz::grid::{Grid, MaskMap, Shape};
+use cliz::prelude::*;
 
 fn sample_grid() -> Grid<f32> {
     Grid::from_fn(Shape::new(&[24, 32]), |c| {
@@ -34,8 +34,13 @@ fn chunk_region(reader: &cliz::store::ChunkStoreReader, i: usize) -> Vec<std::op
 #[test]
 fn truncation_sweep_never_panics() {
     let g = sample_grid();
-    let bytes = cliz::compress(&g, None, ErrorBound::Abs(1e-3), &PipelineConfig::default_for(2))
-        .unwrap();
+    let bytes = cliz::compress(
+        &g,
+        None,
+        ErrorBound::Abs(1e-3),
+        &PipelineConfig::default_for(2),
+    )
+    .unwrap();
     // Every short prefix in the header region, then a sweep over the body
     // (step 3 keeps the test fast without losing coverage classes).
     for cut in (0..64.min(bytes.len())).chain((64..bytes.len()).step_by(3)) {
@@ -51,8 +56,13 @@ fn single_byte_corruption_detected_or_bound_preserved() {
     // Flipping one byte may still decode (e.g. inside literal values), but
     // must never panic. When it decodes, dims must match.
     let g = sample_grid();
-    let bytes = cliz::compress(&g, None, ErrorBound::Abs(1e-3), &PipelineConfig::default_for(2))
-        .unwrap();
+    let bytes = cliz::compress(
+        &g,
+        None,
+        ErrorBound::Abs(1e-3),
+        &PipelineConfig::default_for(2),
+    )
+    .unwrap();
     let mut corrupted = 0usize;
     for pos in (0..bytes.len()).step_by(7) {
         let mut b = bytes.clone();
@@ -68,8 +78,13 @@ fn single_byte_corruption_detected_or_bound_preserved() {
 #[test]
 fn cross_format_decoding_rejected() {
     let g = sample_grid();
-    let cliz_bytes =
-        cliz::compress(&g, None, ErrorBound::Abs(1e-3), &PipelineConfig::default_for(2)).unwrap();
+    let cliz_bytes = cliz::compress(
+        &g,
+        None,
+        ErrorBound::Abs(1e-3),
+        &PipelineConfig::default_for(2),
+    )
+    .unwrap();
     let sz3_bytes = SzInterp.compress(&g, None, ErrorBound::Abs(1e-3)).unwrap();
     let zfp_bytes = Zfp.compress(&g, None, ErrorBound::Abs(1e-3)).unwrap();
 
@@ -94,9 +109,13 @@ fn mask_shape_mismatch_rejected() {
     let mut flags = vec![true; g.len()];
     flags[0] = false;
     let mask = cliz::grid::MaskMap::from_flags(g.shape().clone(), flags);
-    let bytes =
-        cliz::compress(&g, Some(&mask), ErrorBound::Abs(1e-3), &PipelineConfig::default_for(2))
-            .unwrap();
+    let bytes = cliz::compress(
+        &g,
+        Some(&mask),
+        ErrorBound::Abs(1e-3),
+        &PipelineConfig::default_for(2),
+    )
+    .unwrap();
     // Right mask works.
     assert!(cliz::decompress(&bytes, Some(&mask)).is_ok());
     // Missing or wrong-shape mask is refused.
@@ -108,9 +127,13 @@ fn mask_shape_mismatch_rejected() {
 #[test]
 fn future_version_rejected() {
     let g = sample_grid();
-    let mut bytes =
-        cliz::compress(&g, None, ErrorBound::Abs(1e-3), &PipelineConfig::default_for(2))
-            .unwrap();
+    let mut bytes = cliz::compress(
+        &g,
+        None,
+        ErrorBound::Abs(1e-3),
+        &PipelineConfig::default_for(2),
+    )
+    .unwrap();
     bytes[4] = 99; // version byte
     match cliz::decompress(&bytes, None) {
         Err(cliz::ClizError::UnsupportedVersion(99)) => {}
@@ -145,9 +168,13 @@ fn nan_values_survive_without_breaking_neighbours() {
     for &i in &[5usize, 100, 371, 640] {
         g.as_mut_slice()[i] = f32::NAN;
     }
-    let bytes =
-        cliz::compress(&g, None, ErrorBound::Abs(1e-3), &PipelineConfig::default_for(2))
-            .unwrap();
+    let bytes = cliz::compress(
+        &g,
+        None,
+        ErrorBound::Abs(1e-3),
+        &PipelineConfig::default_for(2),
+    )
+    .unwrap();
     let out = cliz::decompress(&bytes, None).unwrap();
     for (i, (&a, &b)) in g.as_slice().iter().zip(out.as_slice()).enumerate() {
         if a.is_nan() {
@@ -312,8 +339,13 @@ fn seeded_multibyte_mutation_sweep_on_plain_container() {
     // Multi-byte mutations hit interacting-field corruption (length vs
     // payload, table vs stream) that the single-byte sweep cannot reach.
     let g = sample_grid();
-    let bytes = cliz::compress(&g, None, ErrorBound::Abs(1e-3), &PipelineConfig::default_for(2))
-        .unwrap();
+    let bytes = cliz::compress(
+        &g,
+        None,
+        ErrorBound::Abs(1e-3),
+        &PipelineConfig::default_for(2),
+    )
+    .unwrap();
     for seed in 1..=200u64 {
         let mut rng = XorShift(seed);
         let mut b = bytes.clone();
@@ -356,11 +388,20 @@ fn seeded_multibyte_mutation_sweep_on_chunked_container() {
 /// Compressed streams for every baseline codec, for the shared-header sweeps.
 fn baseline_streams(g: &Grid<f32>) -> Vec<(&'static str, Vec<u8>)> {
     vec![
-        ("sz3", SzInterp.compress(g, None, ErrorBound::Abs(1e-3)).unwrap()),
-        ("sz2", Sz2Lorenzo.compress(g, None, ErrorBound::Abs(1e-3)).unwrap()),
+        (
+            "sz3",
+            SzInterp.compress(g, None, ErrorBound::Abs(1e-3)).unwrap(),
+        ),
+        (
+            "sz2",
+            Sz2Lorenzo.compress(g, None, ErrorBound::Abs(1e-3)).unwrap(),
+        ),
         ("qoz", Qoz.compress(g, None, ErrorBound::Abs(1e-3)).unwrap()),
         ("zfp", Zfp.compress(g, None, ErrorBound::Abs(1e-3)).unwrap()),
-        ("sperr", Sperr.compress(g, None, ErrorBound::Abs(1e-3)).unwrap()),
+        (
+            "sperr",
+            Sperr.compress(g, None, ErrorBound::Abs(1e-3)).unwrap(),
+        ),
     ]
 }
 
@@ -683,8 +724,13 @@ fn incompressible_mask_costs_at_most_a_frame_header() {
 #[test]
 fn decompression_is_idempotent_across_calls() {
     let g = sample_grid();
-    let bytes = cliz::compress(&g, None, ErrorBound::Abs(1e-3), &PipelineConfig::default_for(2))
-        .unwrap();
+    let bytes = cliz::compress(
+        &g,
+        None,
+        ErrorBound::Abs(1e-3),
+        &PipelineConfig::default_for(2),
+    )
+    .unwrap();
     let a = cliz::decompress(&bytes, None).unwrap();
     let b = cliz::decompress(&bytes, None).unwrap();
     assert_eq!(a, b);
@@ -818,7 +864,10 @@ fn baseline_cross_magic_and_truncation_are_typed() {
 /// Byte offset of the first embedded ZLT1 lossless frame at or after `from`.
 fn find_zlt1(bytes: &[u8], from: usize) -> Option<usize> {
     let m = 0x5A4C_5431u32.to_le_bytes();
-    bytes[from..].windows(4).position(|w| w == m).map(|p| p + from)
+    bytes[from..]
+        .windows(4)
+        .position(|w| w == m)
+        .map(|p| p + from)
 }
 
 #[test]
@@ -826,8 +875,13 @@ fn corrupt_embedded_lossless_frame_is_backend_error() {
     let g = sample_grid();
     // Inside a CLIZ container: breaking the inner ZLT1 magic makes the
     // lossless backend refuse the frame, which must surface as Backend.
-    let bytes = cliz::compress(&g, None, ErrorBound::Abs(1e-3), &PipelineConfig::default_for(2))
-        .unwrap();
+    let bytes = cliz::compress(
+        &g,
+        None,
+        ErrorBound::Abs(1e-3),
+        &PipelineConfig::default_for(2),
+    )
+    .unwrap();
     let at = find_zlt1(&bytes, 5).expect("no embedded ZLT1 frame in CLIZ container");
     let mut b = bytes.clone();
     b[at] ^= 0xFF;
@@ -877,9 +931,13 @@ fn bad_chunk_request_is_bad_config_and_wrong_mask_is_mask_required() {
     let mut flags = vec![true; g.len()];
     flags[3] = false;
     let mask = cliz::grid::MaskMap::from_flags(g.shape().clone(), flags);
-    let bytes =
-        cliz::compress(&g, Some(&mask), ErrorBound::Abs(1e-3), &PipelineConfig::default_for(2))
-            .unwrap();
+    let bytes = cliz::compress(
+        &g,
+        Some(&mask),
+        ErrorBound::Abs(1e-3),
+        &PipelineConfig::default_for(2),
+    )
+    .unwrap();
     let wrong = cliz::grid::MaskMap::all_valid(Shape::new(&[32, 24]));
     assert!(matches!(
         cliz::decompress(&bytes, Some(&wrong)),
@@ -930,8 +988,8 @@ fn chunk_corruption_behind_a_valid_crc_is_codec_error() {
     // failure must surface from the codec itself as StoreError::Codec.
     let bytes = sample_store();
     let (index_pos, payload_start, entries) = czs_index(&bytes);
-    let zlt = find_zlt1(&bytes, payload_start).expect("no ZLT1 frame in store payload")
-        - payload_start;
+    let zlt =
+        find_zlt1(&bytes, payload_start).expect("no ZLT1 frame in store payload") - payload_start;
     let k = entries
         .iter()
         .position(|&(off, len)| zlt >= off && zlt < off + len)

@@ -130,7 +130,10 @@ fn build_corpus() -> Vec<(&'static str, Vec<u8>)> {
         ("czs1_store_v2.bin", store),
         ("czs1_masked_v2.bin", periodic_masked_store()),
         ("caf1_archive.bin", caf),
-        ("zlt1_lossless.bin", cliz::lossless::compress(&zlt1_payload())),
+        (
+            "zlt1_lossless.bin",
+            cliz::lossless::compress(&zlt1_payload()),
+        ),
         (
             "szl1_sz3.bin",
             SzInterp.compress(&g, None, ErrorBound::Abs(EB)).unwrap(),
@@ -192,7 +195,10 @@ fn encoders_reproduce_committed_bytes_exactly() {
              only for an intentional format change)"
         );
         if let Some(pos) = fresh.iter().zip(want).position(|(a, b)| a != b) {
-            panic!("{name}: byte {pos} drifted ({:#04x} != {:#04x})", fresh[pos], want[pos]);
+            panic!(
+                "{name}: byte {pos} drifted ({:#04x} != {:#04x})",
+                fresh[pos], want[pos]
+            );
         }
     }
 }
@@ -258,11 +264,30 @@ fn committed_containers_decode_within_bound() {
     );
 
     let baselines: [(&str, Grid<f32>); 5] = [
-        ("szl1_sz3.bin", SzInterp.decompress(committed("szl1_sz3.bin"), None).unwrap()),
-        ("sz21_sz2.bin", Sz2Lorenzo.decompress(committed("sz21_sz2.bin"), None).unwrap()),
-        ("zfp1_zfp.bin", Zfp.decompress(committed("zfp1_zfp.bin"), None).unwrap()),
-        ("qoz1_qoz.bin", Qoz.decompress(committed("qoz1_qoz.bin"), None).unwrap()),
-        ("spr1_sperr.bin", Sperr.decompress(committed("spr1_sperr.bin"), None).unwrap()),
+        (
+            "szl1_sz3.bin",
+            SzInterp
+                .decompress(committed("szl1_sz3.bin"), None)
+                .unwrap(),
+        ),
+        (
+            "sz21_sz2.bin",
+            Sz2Lorenzo
+                .decompress(committed("sz21_sz2.bin"), None)
+                .unwrap(),
+        ),
+        (
+            "zfp1_zfp.bin",
+            Zfp.decompress(committed("zfp1_zfp.bin"), None).unwrap(),
+        ),
+        (
+            "qoz1_qoz.bin",
+            Qoz.decompress(committed("qoz1_qoz.bin"), None).unwrap(),
+        ),
+        (
+            "spr1_sperr.bin",
+            Sperr.decompress(committed("spr1_sperr.bin"), None).unwrap(),
+        ),
     ];
     for (name, out) in &baselines {
         assert_eq!(out.shape().dims(), &[24, 32], "{name}");
@@ -349,9 +374,13 @@ fn masked_roundtrip_smoke() {
     let mut flags = vec![true; g.len()];
     flags[17] = false;
     let mask = MaskMap::from_flags(g.shape().clone(), flags);
-    let bytes =
-        cliz::compress(&g, Some(&mask), ErrorBound::Abs(EB), &PipelineConfig::default_for(2))
-            .unwrap();
+    let bytes = cliz::compress(
+        &g,
+        Some(&mask),
+        ErrorBound::Abs(EB),
+        &PipelineConfig::default_for(2),
+    )
+    .unwrap();
     let out = cliz::decompress(&bytes, Some(&mask)).unwrap();
     assert_eq!(out.shape().dims(), &[24, 32]);
 }

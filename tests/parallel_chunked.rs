@@ -67,18 +67,22 @@ fn masked_chunked_bytes_identical_across_threads() {
     let (g, mask) = masked(&[13, 12, 8]);
     let cfg = PipelineConfig::default_for(3);
     let eb = ErrorBound::Rel(1e-3);
-    let serial =
-        cliz::compress_chunked_with_threads(&g, Some(&mask), eb, &cfg, 4, 1).unwrap();
+    let serial = cliz::compress_chunked_with_threads(&g, Some(&mask), eb, &cfg, 4, 1).unwrap();
     for threads in [0, 2, 3, 4, 8] {
         let par =
             cliz::compress_chunked_with_threads(&g, Some(&mask), eb, &cfg, 4, threads).unwrap();
-        assert_eq!(serial, par, "masked container diverged at {threads} threads");
+        assert_eq!(
+            serial, par,
+            "masked container diverged at {threads} threads"
+        );
     }
     let reference = cliz::decompress_chunked_with_threads(&serial, Some(&mask), 1).unwrap();
     for threads in [0, 2, 3, 4, 8] {
-        let out =
-            cliz::decompress_chunked_with_threads(&serial, Some(&mask), threads).unwrap();
-        assert_eq!(out, reference, "masked decode diverged at {threads} threads");
+        let out = cliz::decompress_chunked_with_threads(&serial, Some(&mask), threads).unwrap();
+        assert_eq!(
+            out, reference,
+            "masked decode diverged at {threads} threads"
+        );
     }
 }
 
@@ -101,12 +105,10 @@ fn periodic_chunked_bytes_identical_across_threads() {
     let eb = ErrorBound::Abs(1e-3);
     // chunk_len 13 fits the period once; chunk_len 5 forces the degrade path.
     for chunk_len in [13, 5] {
-        let serial =
-            cliz::compress_chunked_with_threads(&g, None, eb, &cfg, chunk_len, 1).unwrap();
+        let serial = cliz::compress_chunked_with_threads(&g, None, eb, &cfg, chunk_len, 1).unwrap();
         for threads in [2, 4] {
-            let par =
-                cliz::compress_chunked_with_threads(&g, None, eb, &cfg, chunk_len, threads)
-                    .unwrap();
+            let par = cliz::compress_chunked_with_threads(&g, None, eb, &cfg, chunk_len, threads)
+                .unwrap();
             assert_eq!(serial, par, "chunk_len {chunk_len}, {threads} threads");
         }
     }
@@ -175,8 +177,7 @@ fn arena_reuse_is_observationally_identical() {
 
     let mut arena = ScratchArena::new();
     for (round, g) in fields.iter().enumerate() {
-        let (reused, s1) =
-            cliz::compress_with_stats_arena(g, None, eb, &cfg, &mut arena).unwrap();
+        let (reused, s1) = cliz::compress_with_stats_arena(g, None, eb, &cfg, &mut arena).unwrap();
         let (fresh, s2) =
             cliz::compress_with_stats_arena(g, None, eb, &cfg, &mut ScratchArena::new()).unwrap();
         assert_eq!(reused, fresh, "compress bytes diverged on round {round}");

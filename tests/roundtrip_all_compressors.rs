@@ -1,8 +1,8 @@
 //! Cross-crate integration: every compressor honours the error bound on
 //! every (scaled-down) Table III dataset.
 
-use cliz::prelude::*;
 use cliz::data::ClimateDataset;
+use cliz::prelude::*;
 
 fn small_datasets() -> Vec<ClimateDataset> {
     vec![
@@ -44,12 +44,20 @@ fn error_bound_contract_all_compressors_all_datasets() {
             let bytes = compressor
                 .compress(&dataset.data, dataset.mask.as_ref(), bound)
                 .unwrap_or_else(|e| {
-                    panic!("{} failed on {}: {e}", compressor.name(), dataset.kind.name())
+                    panic!(
+                        "{} failed on {}: {e}",
+                        compressor.name(),
+                        dataset.kind.name()
+                    )
                 });
             let recon = compressor
                 .decompress(&bytes, dataset.mask.as_ref())
                 .unwrap_or_else(|e| {
-                    panic!("{} decode failed on {}: {e}", compressor.name(), dataset.kind.name())
+                    panic!(
+                        "{} decode failed on {}: {e}",
+                        compressor.name(),
+                        dataset.kind.name()
+                    )
                 });
             assert_eq!(recon.shape(), dataset.data.shape());
             // CliZ guarantees the bound on valid points; the mask-blind
@@ -101,7 +109,10 @@ fn cliz_beats_mask_blind_baselines_on_masked_data() {
         .unwrap();
     let cliz_ratio = original as f64 / cliz_bytes.len() as f64;
 
-    for baseline in [&cliz::all_compressors(None)[0], &cliz::all_compressors(None)[1]] {
+    for baseline in [
+        &cliz::all_compressors(None)[0],
+        &cliz::all_compressors(None)[1],
+    ] {
         let b = baseline
             .compress(&dataset.data, dataset.mask.as_ref(), bound)
             .unwrap();

@@ -290,10 +290,7 @@ fn masked_store_roundtrips_mask_and_attrs() {
     let reader = ChunkStoreReader::from_bytes(bytes).unwrap();
     let mask = reader.mask().expect("mask must ride in the store");
     assert_eq!(mask.as_slice(), ds.mask.as_ref().unwrap().as_slice());
-    assert!(reader
-        .attrs()
-        .iter()
-        .any(|(k, v)| k == "units" && v == "m"));
+    assert!(reader.attrs().iter().any(|(k, v)| k == "units" && v == "m"));
     // Full read equals the chunked decompressor driven directly.
     let full = reader.read_all().unwrap();
     assert_eq!(full.shape().dims(), &[24, 16, 8]);
