@@ -145,14 +145,15 @@ pub fn autotune_fast(
     // Roughest axis first: the interpolation sweep makes ~2^i / (2^n − 1) of
     // its predictions along the i-th processed dimension, so later = more,
     // and later should be smoother. Each axis is an independent pass over
-    // the whole field, so each is one pool job.
-    let stats = run_pool(
+    // the whole field, so each is one pool job, and it measures only the
+    // mean the order is read from.
+    let means = run_pool(
         (0..data.shape().ndim()).collect(),
         |_| 1.0,
         0,
-        |axis, _| Ok::<_, ClizError>(cliz_grid::axis_smoothness(data, mask_ref, axis)),
+        |axis, _| Ok::<_, ClizError>(cliz_grid::axis_mean_abs_diff(data, mask_ref, axis).0),
     )?;
-    let mut permutation = cliz_grid::smoothness_order(&stats);
+    let mut permutation = cliz_grid::smoothness_order(&means);
     permutation.reverse();
 
     let sample_spec = match (spec.time_axis, period_detected) {

@@ -22,7 +22,7 @@
 
 use crate::bytesio::{ByteReader, ByteWriter};
 use crate::compressor::{
-    compress_alloc_baseline, compress_with_stats_arena, decompress_arena, valid_min_max,
+    compress_alloc_baseline, compress_resolved, decompress_arena, valid_min_max,
 };
 use crate::config::PipelineConfig;
 use crate::error::ClizError;
@@ -112,6 +112,11 @@ pub fn run_pool<J: Send, R: Send, E: Send + From<ClizError>>(
 /// independent container compressed under that resolved bound, and the
 /// offset table is always written in slab order.
 ///
+/// A relative bound's range comes from one pool job per slab, each scanning
+/// its slab in place; the slab ranges fold exactly into the whole field's,
+/// and a periodic slab's split reads its own. An absolute bound needs no
+/// whole-field range: a periodic slab scans its own, and a plain one none.
+///
 /// ```
 /// use cliz_core::{compress_chunked_with_threads, decompress_chunked, config::PipelineConfig};
 /// use cliz_grid::{Grid, Shape};
@@ -143,35 +148,55 @@ pub fn compress_chunked_with_threads(
             return Err(ClizError::BadConfig("mask shape mismatch"));
         }
     }
-    let (mn, mx) = valid_min_max(data, mask);
-    let eb = ErrorBound::Abs(bound.resolve(mn, mx));
-
     // Slab cost is proportional to element count; only the tail slab
     // differs, and LPT places it so no worker idles behind it.
-    let blobs = run_pool(
-        (0..index.n_chunks()).collect(),
-        |&i| index.elems(i).map_or(0.0, |n| n as f64),
-        threads,
-        |i, arena| compress_one_chunk(data, mask, eb, config, &index, i, arena),
-    )?;
+    let slabs = || (0..index.n_chunks()).collect();
+    let cost = |&i: &usize| index.elems(i).map_or(0.0, |n| n as f64);
+    let ranges = match bound {
+        ErrorBound::Rel(_) => Some(run_pool(slabs(), cost, threads, |i, _| {
+            index.range(data.as_slice(), mask, i)
+        })?),
+        ErrorBound::Abs(_) => None,
+    };
+    let (mn, mx) = ranges.as_deref().map_or((0.0, 0.0), fold_ranges);
+    let eb_abs = bound.resolve(mn, mx);
+
+    let blobs = run_pool(slabs(), cost, threads, |i, arena| {
+        let (shape, values) = index.cut(data.as_slice(), i)?;
+        let chunk = Grid::from_vec(shape, values);
+        let chunk_mask = mask.map(|m| index.mask_slab(m, i)).transpose()?;
+        // The slab's own `valid_min_max`, when the range pass measured it.
+        let range = ranges.as_ref().map(|r| r[i].unwrap_or((0.0, 0.0)));
+        compress_one_chunk(&chunk, chunk_mask.as_ref(), eb_abs, range, config, arena)
+    })?;
     Ok(assemble_container(&index.dims, chunk_len, &blobs))
 }
 
-/// Compresses slab `i` as one independent container. Every pool worker
-/// runs this, so the slab cut and the graceful periodicity degrade stay
-/// identical across worker counts.
+/// The whole field's `valid_min_max` from its slabs' finite valid ranges:
+/// the least minimum and the greatest maximum, both exact, over the slabs
+/// that hold such a value (a slab with none adds nothing), and `(0, 0)`
+/// when no slab does.
+fn fold_ranges(ranges: &[Option<(f32, f32)>]) -> (f32, f32) {
+    ranges
+        .iter()
+        .flatten()
+        .copied()
+        .reduce(|(lo, hi), (mn, mx)| (lo.min(mn), hi.max(mx)))
+        .unwrap_or((0.0, 0.0))
+}
+
+/// Compresses one cut slab as an independent container under the resolved
+/// bound `eb_abs`; `range` is the slab's `valid_min_max` when the caller
+/// has it. Every pool worker runs this, so the graceful periodicity degrade
+/// stays identical across worker counts.
 fn compress_one_chunk(
-    data: &Grid<f32>,
-    mask: Option<&MaskMap>,
-    eb: ErrorBound,
+    chunk: &Grid<f32>,
+    chunk_mask: Option<&MaskMap>,
+    eb_abs: f64,
+    range: Option<(f32, f32)>,
     config: &PipelineConfig,
-    index: &ChunkIndex,
-    i: usize,
     arena: &mut ScratchArena,
 ) -> Result<Vec<u8>, ClizError> {
-    let (shape, values) = index.cut(data.as_slice(), i)?;
-    let chunk = Grid::from_vec(shape, values);
-    let chunk_mask = mask.map(|m| index.mask_slab(m, i)).transpose()?;
     // The per-chunk config must validate against the chunk shape
     // (periodicity along axis 0 may not fit a slab).
     let mut chunk_config = config.clone();
@@ -180,7 +205,7 @@ fn compress_one_chunk(
         chunk_config.periodicity = crate::config::Periodicity::None;
         chunk_config.validate(chunk.shape())?;
     }
-    compress_with_stats_arena(&chunk, chunk_mask.as_ref(), eb, &chunk_config, arena)
+    compress_resolved(chunk, chunk_mask, eb_abs, range, &chunk_config, arena)
         .map(|(bytes, _)| bytes)
 }
 
@@ -377,6 +402,25 @@ impl ChunkIndex {
             .get(span)
             .ok_or(ClizError::BadConfig("buffer does not cover the grid"))?;
         Ok((Shape::new(&dims), part.to_vec()))
+    }
+
+    /// The finite valid range of chunk `i` of `values` and `mask`, both laid
+    /// over the full dims, read in place: what `Grid::finite_min_max`
+    /// returns for the cut slab and its mask slab.
+    fn range(
+        &self,
+        values: &[f32],
+        mask: Option<&MaskMap>,
+        i: usize,
+    ) -> Result<Option<(f32, f32)>, ClizError> {
+        let (_, span) = self.locate(i)?;
+        let uncovered = || ClizError::BadConfig("buffer does not cover the grid");
+        let part = values.get(span.clone()).ok_or_else(uncovered)?;
+        let flags = match mask {
+            Some(m) => Some(m.as_slice().get(span).ok_or_else(uncovered)?),
+            None => None,
+        };
+        Ok(cliz_grid::finite_range(part, flags))
     }
 
     /// Chunk `i` of a mask laid over the full dims, as a mask of its own;
@@ -817,6 +861,74 @@ mod tests {
                 matches!(panicked, Err(ClizError::Backend(_))),
                 "{threads} threads: {panicked:?}"
             );
+        }
+    }
+
+    /// The range pass against the whole-field scan: slabs of 1 to all
+    /// rows with tails, values mixing NaN, ±inf, ±0 and finite draws, masks
+    /// none, all invalid, random, and random with the first slab all
+    /// invalid; one grid's last slab holds no finite value. Each slab's
+    /// range is `finite_min_max` of the cut slab, and the fold equals
+    /// `valid_min_max` (`==` treats the two zeros alike, the scan's one
+    /// freedom).
+    #[test]
+    fn folded_slab_ranges_match_valid_min_max() {
+        let mut state = 0xF01Du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let cases: [(&[usize], usize); 6] = [
+            (&[7, 5], 2),
+            (&[9, 4, 3], 4),
+            (&[1, 40], 1),
+            (&[6, 3], 6),
+            (&[5, 2, 2, 3], 1),
+            (&[11, 17], 3),
+        ];
+        for (dims, chunk_len) in cases {
+            let shape = Shape::new(dims);
+            let n = shape.len();
+            let index = ChunkIndex::new(dims, chunk_len).unwrap();
+            let mut values: Vec<f32> = (0..n)
+                .map(|_| match next() % 9 {
+                    0 => f32::NAN,
+                    1 => f32::INFINITY,
+                    2 => f32::NEG_INFINITY,
+                    3 => 0.0,
+                    4 => -0.0,
+                    _ => (next() % 2001) as f32 * 0.5 - 500.0,
+                })
+                .collect();
+            if dims == [11, 17] {
+                let last = index.rows(index.n_chunks() - 1).unwrap();
+                values[last.start * 17..].fill(f32::NAN);
+            }
+            let data = Grid::from_vec(shape.clone(), values);
+            let random: Vec<bool> = (0..n).map(|_| next() % 3 != 0).collect();
+            let mut first_out = random.clone();
+            first_out[..index.elems(0).unwrap()].fill(false);
+            let masks = [
+                None,
+                Some(MaskMap::from_flags(shape.clone(), vec![false; n])),
+                Some(MaskMap::from_flags(shape.clone(), random)),
+                Some(MaskMap::from_flags(shape.clone(), first_out)),
+            ];
+            for mask in masks.iter().map(Option::as_ref) {
+                let ctx = format!("{dims:?} by {chunk_len}, masked {}", mask.is_some());
+                let ranges: Vec<_> = (0..index.n_chunks())
+                    .map(|i| index.range(data.as_slice(), mask, i).unwrap())
+                    .collect();
+                for (i, &range) in ranges.iter().enumerate() {
+                    let (slab_shape, slab) = index.cut(data.as_slice(), i).unwrap();
+                    let slab_mask = mask.map(|m| index.mask_slab(m, i).unwrap());
+                    let want = Grid::from_vec(slab_shape, slab).finite_min_max(slab_mask.as_ref());
+                    assert_eq!(range, want, "slab {i}: {ctx}");
+                }
+                assert_eq!(fold_ranges(&ranges), valid_min_max(&data, mask), "{ctx}");
+            }
         }
     }
 

@@ -25,10 +25,9 @@
 use crate::bytesio::{ByteReader, ByteWriter};
 use crate::config::{Periodicity, PipelineConfig};
 use crate::error::ClizError;
-use crate::periodic::{add_template, build_template, subtract_template, template_mask};
+use crate::periodic::{add_template, build_template, subtract_template_in_place, template_mask};
 use crate::pipeline::{
-    compress_plain, compress_plain_alloc_baseline, compress_plain_with_recon, decompress_plain,
-    PlainStats,
+    compress_plain, compress_plain_alloc_baseline, decompress_plain, encode_plain, PlainStats,
 };
 use crate::scratch::ScratchArena;
 use cliz_format::spec::CLIZ;
@@ -111,26 +110,35 @@ pub fn compress_with_stats_arena(
             return Err(ClizError::BadConfig("mask shape mismatch"));
         }
     }
-    let effective_mask = match mask {
-        Some(m) if config.use_mask && !m.is_all_valid() => Some(m),
-        _ => None,
-    };
     // Relative bounds always resolve against the *valid* value range when a
     // mask is supplied — even with `use_mask: false` (the ablation toggle
     // only disables mask-aware prediction/encoding, it must not let fill
-    // values inflate the error budget by 30 orders of magnitude).
-    // The range is read only by a `Rel` bound and by the periodic split's
-    // rounding slack. Nested sections and chunked slabs arrive under a bound
-    // already resolved to `Abs`, so a plain one skips the scan.
-    let range_read = matches!(bound, ErrorBound::Rel(_))
-        || matches!(config.periodicity, Periodicity::Extract { .. });
-    let (mn, mx) = if range_read {
-        valid_min_max(data, mask)
-    } else {
-        (0.0, 0.0)
-    };
-    let eb_abs = bound.resolve(mn, mx);
-    let mut w = container_header(data, effective_mask, eb_abs);
+    // values inflate the error budget by 30 orders of magnitude). Nested
+    // sections and chunked slabs arrive under a bound already resolved to
+    // `Abs`, so they scan only for the periodic split.
+    let range = matches!(bound, ErrorBound::Rel(_)).then(|| valid_min_max(data, mask));
+    let (mn, mx) = range.unwrap_or((0.0, 0.0));
+    compress_resolved(data, mask, bound.resolve(mn, mx), range, config, arena)
+}
+
+/// [`compress_with_stats_arena`] past its input checks, under a bound
+/// already resolved to `eb_abs`: the config is valid for `data` and the
+/// mask has its shape. `range` is `data`'s [`valid_min_max`] when the
+/// caller has it, which only the periodic split reads (its residual
+/// bound's rounding slack); a periodic config handed `None` measures it
+/// here. The chunked encoder calls this per slab with the range its range
+/// pass measured.
+pub(crate) fn compress_resolved(
+    data: &Grid<f32>,
+    mask: Option<&MaskMap>,
+    eb_abs: f64,
+    range: Option<(f32, f32)>,
+    config: &PipelineConfig,
+    arena: &mut ScratchArena,
+) -> Result<(Vec<u8>, CompressStats), ClizError> {
+    let effective_mask = effective(mask, config);
+    let fill = representative_fill(data, effective_mask);
+    let mut w = container_header(data.shape(), eb_abs, fill, effective_mask.is_some());
 
     let mut stats = CompressStats {
         eb_abs,
@@ -151,7 +159,7 @@ pub fn compress_with_stats_arena(
             // Template: per-phase mean, compressed as a nested container.
             let template = build_template(data, effective_mask, time_axis, period);
             let tmask = effective_mask.map(|m| template_mask(m, time_axis, period));
-            let (t_bytes, t_stats, template_recon) = compress_template(
+            let (t_bytes, t_stats, t_working) = compress_template(
                 &template,
                 tmask.as_ref(),
                 template_eb(eb_abs, config.template_eb_factor),
@@ -164,18 +172,44 @@ pub fn compress_with_stats_arena(
             // (data − template at encode, residual + template at decode),
             // each bounded by half a ULP of the operand magnitude. Without
             // this the reconstruction can land a fraction of a ULP past eb.
-            let residual = subtract_template(data, &template_recon, effective_mask, time_axis);
+            let (mn, mx) = range.unwrap_or_else(|| valid_min_max(data, mask));
             let vmax = mn.abs().max(mx.abs()) as f64 + eb_abs;
             let eb_res = residual_eb(eb_abs, vmax);
-            let (r_bytes, r_stats) = compress_with_stats_arena(
-                &residual,
+            // The residual section: the container `compress_with_stats_arena`
+            // writes for `subtract_template`'s grid under `Abs(eb_res)`,
+            // whose masked points are 0.0, and so is its fill. The residual
+            // is built in the walk's buffer instead: the permuted data minus
+            // the template's buffer, both in the working layout, where the
+            // time axis is the one the permutation moved it to.
+            let working_time_axis = inner_config
+                .permutation
+                .iter()
+                .position(|&p| p == time_axis)
+                .ok_or(ClizError::BadConfig("time axis out of range"))?;
+            let mut r = container_header(data.shape(), eb_res, 0.0, effective_mask.is_some());
+            r.u8(MODE_PLAIN);
+            let (r_stats, r_buf) = encode_plain(
+                data,
                 effective_mask,
-                ErrorBound::Abs(eb_res),
+                eb_res,
                 &inner_config,
+                &mut r,
                 arena,
+                |buf, wshape, wmask| {
+                    subtract_template_in_place(
+                        buf,
+                        wshape,
+                        &t_working,
+                        wmask,
+                        working_time_axis,
+                        period,
+                    )
+                },
             )?;
+            arena.recycle_f32(r_buf);
+            arena.recycle_f32(t_working);
             w.block(&t_bytes);
-            w.block(&r_bytes);
+            w.block(&r.finish());
             stats.escapes = t_stats.escapes + r_stats.escapes;
             stats.classification_used = r_stats.classification_used;
             stats.periodic = true;
@@ -194,39 +228,54 @@ pub fn compress_with_stats_arena(
     Ok((bytes, stats))
 }
 
+/// The mask the pipeline reads: `mask` when the config uses it and it has
+/// an invalid point, else none.
+fn effective<'m>(mask: Option<&'m MaskMap>, config: &PipelineConfig) -> Option<&'m MaskMap> {
+    mask.filter(|m| config.use_mask && !m.is_all_valid())
+}
+
 /// A container's header up to its mode byte: magic, shape, the resolved
 /// bound, the fill written at masked points, and whether the stream needs
 /// the mask.
-fn container_header(data: &Grid<f32>, mask: Option<&MaskMap>, eb_abs: f64) -> ByteWriter {
+fn container_header(shape: &Shape, eb_abs: f64, fill: f32, masked: bool) -> ByteWriter {
     let mut w = ByteWriter::new();
     w.magic(&CLIZ);
-    w.u8(data.shape().ndim() as u8);
-    for &d in data.shape().dims() {
+    w.u8(shape.ndim() as u8);
+    for &d in shape.dims() {
         w.u64(d as u64);
     }
     w.f64(eb_abs);
-    w.f32(representative_fill(data, mask));
-    w.u8(mask.is_some() as u8);
+    w.f32(fill);
+    w.u8(masked as u8);
     w
 }
 
 /// The periodic split's template as the nested plain container that
-/// [`compress_with_stats_arena`] would write for it under `ErrorBound::Abs(eb_abs)`,
-/// with its stats and the reconstruction the decoder will see at every
-/// valid point ([`compress_plain_with_recon`]).
+/// [`compress_with_stats_arena`] would write for it under
+/// `ErrorBound::Abs(eb_abs)`, with its stats and the walk's buffer: the
+/// reconstruction the decoder will see at every valid point, in the
+/// working layout ([`encode_plain`]). The buffer is `arena`'s.
 fn compress_template(
     template: &Grid<f32>,
     tmask: Option<&MaskMap>,
     eb_abs: f64,
     config: &PipelineConfig,
     arena: &mut ScratchArena,
-) -> Result<(Vec<u8>, PlainStats, Grid<f32>), ClizError> {
-    let effective_mask = tmask.filter(|m| config.use_mask && !m.is_all_valid());
-    let mut w = container_header(template, effective_mask, eb_abs);
+) -> Result<(Vec<u8>, PlainStats, Vec<f32>), ClizError> {
+    let effective_mask = effective(tmask, config);
+    let fill = representative_fill(template, effective_mask);
+    let mut w = container_header(template.shape(), eb_abs, fill, effective_mask.is_some());
     w.u8(MODE_PLAIN);
-    let (stats, recon) =
-        compress_plain_with_recon(template, effective_mask, eb_abs, config, &mut w, arena)?;
-    Ok((w.finish(), stats, recon))
+    let (stats, working) = encode_plain(
+        template,
+        effective_mask,
+        eb_abs,
+        config,
+        &mut w,
+        arena,
+        |_, _, _| {},
+    )?;
+    Ok((w.finish(), stats, working))
 }
 
 /// Error bound handed to the template stage of periodic mode. Kept as a named
@@ -370,7 +419,7 @@ pub fn decompress_arena(
             {
                 return Err(ClizError::Corrupt("periodic shape mismatch"));
             }
-            Ok(add_template(&residual, &template, mask, time_axis, fill))
+            Ok(add_template(residual, &template, mask, time_axis, fill))
         }
         _ => Err(ClizError::Corrupt("unknown mode")),
     }
@@ -534,10 +583,11 @@ mod tests {
     }
 
     /// The periodic encoder takes its residual against the template's
-    /// reconstruction as the encoder hands it back, not against a decode of
-    /// the template's bytes, so the two must agree at every valid template
-    /// point, bit for bit; and the template container must be the bytes the
-    /// public entry point writes for it.
+    /// reconstruction as the encoder hands it back, in the working layout,
+    /// not against a decode of the template's bytes, so the walk's buffer
+    /// must equal the decode permuted into that layout at every valid
+    /// template point, bit for bit; and the template container must be the
+    /// bytes the public entry point writes for it.
     #[test]
     fn template_reconstruction_equals_its_decode() {
         use crate::periodic::{build_template, template_mask};
@@ -580,7 +630,7 @@ mod tests {
                             };
                             let tag = format!("{fitting:?} {permutation:?} {classification} {eb}");
                             let mut arena = ScratchArena::new();
-                            let (bytes, stats, recon) =
+                            let (bytes, stats, working) =
                                 compress_template(&template, Some(&tmask), eb, &config, &mut arena)
                                     .unwrap();
                             escapes += stats.escapes;
@@ -593,11 +643,14 @@ mod tests {
                             )
                             .unwrap();
                             assert_eq!(bytes, public, "container bytes: {tag}");
-                            let decoded = decompress(&bytes, Some(&tmask)).unwrap();
-                            assert_eq!(recon.shape(), decoded.shape());
-                            for i in (0..template.len()).filter(|&i| tmask.is_valid(i)) {
+                            let decoded = decompress(&bytes, Some(&tmask))
+                                .unwrap()
+                                .permuted(&permutation);
+                            let wmask = tmask.permuted(&permutation);
+                            assert_eq!(working.len(), decoded.len());
+                            for i in (0..working.len()).filter(|&i| wmask.is_valid(i)) {
                                 assert_eq!(
-                                    recon.as_slice()[i].to_bits(),
+                                    working[i].to_bits(),
                                     decoded.as_slice()[i].to_bits(),
                                     "at {i}: {tag}"
                                 );
@@ -611,6 +664,91 @@ mod tests {
             escapes > 0,
             "no template escaped, so no literal was compared"
         );
+    }
+
+    /// The residual section, built in the walk's buffer, is the container
+    /// the public entry point writes for `subtract_template`'s residual grid
+    /// taken against the decoded template, under the residual bound: every
+    /// permutation of a 3-D field, masks none, land and scattered, the mask
+    /// used and ignored, both fittings, classification on and off.
+    #[test]
+    fn residual_section_equals_the_residual_grid_container() {
+        use crate::periodic::{build_template, subtract_template, template_mask};
+
+        let shape = Shape::new(&[5, 6, 22]);
+        let g = Grid::from_fn(shape.clone(), |c| {
+            let phase = 2.0 * std::f64::consts::PI * (c[2] % 6) as f64 / 6.0;
+            (c[0] as f64 * 1.5 + (c[1] as f64 * 0.4).sin() * 3.0 + 2.0 * phase.sin()) as f32
+        });
+        let n = g.len();
+        let land = (0..n).map(|i| (i / 22) % 5 != 2).collect();
+        let scattered = (0..n).map(|i| i % 7 != 3).collect();
+        let masks = [land, scattered].map(|m| MaskMap::from_flags(shape.clone(), m));
+        let bound = ErrorBound::Rel(1e-3);
+        for mask in [None, Some(&masks[0]), Some(&masks[1])] {
+            for permutation in Shape::all_permutations(3) {
+                for (use_mask, fitting, classification) in [
+                    (true, cliz_predict::Fitting::Cubic, false),
+                    (true, cliz_predict::Fitting::Linear, true),
+                    (false, cliz_predict::Fitting::Cubic, false),
+                ] {
+                    let config = PipelineConfig {
+                        permutation: permutation.clone(),
+                        fitting,
+                        classification,
+                        use_mask,
+                        periodicity: Periodicity::Extract {
+                            time_axis: 2,
+                            period: 6,
+                        },
+                        ..PipelineConfig::default_for(3)
+                    };
+                    let tag = format!("{permutation:?} mask {} {use_mask}", mask.is_some());
+                    let (bytes, stats) = compress_with_stats_arena(
+                        &g,
+                        mask,
+                        bound,
+                        &config,
+                        &mut ScratchArena::new(),
+                    )
+                    .unwrap();
+                    let mut r = ByteReader::new(&bytes);
+                    r.expect_magic(&CLIZ).unwrap();
+                    for _ in 0..r.u8().unwrap() {
+                        r.u64().unwrap();
+                    }
+                    r.f64().unwrap();
+                    r.f32().unwrap();
+                    r.u8().unwrap();
+                    assert_eq!(r.u8().unwrap(), MODE_PERIODIC, "{tag}");
+                    r.u8().unwrap();
+                    r.u32().unwrap();
+                    let (t_bytes, r_bytes) = (r.block().unwrap(), r.block().unwrap());
+
+                    let eff = effective(mask, &config);
+                    let tmask = eff.map(|m| template_mask(m, 2, 6));
+                    let template = decompress(t_bytes, tmask.as_ref()).unwrap();
+                    assert_eq!(template.shape(), build_template(&g, eff, 2, 6).shape());
+                    let residual = subtract_template(&g, &template, eff, 2);
+                    let (mn, mx) = valid_min_max(&g, mask);
+                    let eb_res =
+                        residual_eb(stats.eb_abs, mn.abs().max(mx.abs()) as f64 + stats.eb_abs);
+                    let inner = PipelineConfig {
+                        periodicity: Periodicity::None,
+                        ..config.clone()
+                    };
+                    let (want, _) = compress_with_stats_arena(
+                        &residual,
+                        eff,
+                        ErrorBound::Abs(eb_res),
+                        &inner,
+                        &mut ScratchArena::new(),
+                    )
+                    .unwrap();
+                    assert_eq!(r_bytes, want.as_slice(), "{tag}");
+                }
+            }
+        }
     }
 
     #[test]

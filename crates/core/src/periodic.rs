@@ -127,52 +127,102 @@ pub fn subtract_template(
     mask: Option<&MaskMap>,
     time_axis: usize,
 ) -> Grid<f32> {
-    apply_template(data, template, mask, time_axis, f32::NAN, |d, t| d - t)
+    let mut values = data.as_slice().to_vec();
+    subtract_template_in_place(
+        &mut values,
+        data.shape(),
+        template.as_slice(),
+        mask.map(MaskMap::as_slice),
+        time_axis,
+        template.shape().dim(time_axis),
+    );
+    Grid::from_vec(data.shape().clone(), values)
 }
 
-/// `data = residual + template[phase]` (decoder side). Masked points get
-/// `fill_value`.
+/// [`subtract_template`] over `values` in place: `v − template[phase]` at
+/// every point `mask` flags valid (every point without a mask), `0.0` at
+/// the others. `values` is row-major over `shape`, `template` over `shape`
+/// with `time_axis` cut to `period`, and `mask` is laid like `values`. Any
+/// layout works as long as the three agree, so the periodic encoder runs
+/// this on the walk's buffer in the working (permuted) layout, with the
+/// template's buffer in that layout and the permuted time axis.
+pub(crate) fn subtract_template_in_place(
+    values: &mut [f32],
+    shape: &Shape,
+    template: &[f32],
+    mask: Option<&[bool]>,
+    time_axis: usize,
+    period: usize,
+) {
+    apply_template(
+        values,
+        shape,
+        template,
+        mask,
+        time_axis,
+        period,
+        |d, t, ok| {
+            if ok {
+                d - t
+            } else {
+                0.0
+            }
+        },
+    );
+}
+
+/// `data = residual + template[phase]` (decoder side), over the residual's
+/// own buffer. Masked points get `fill_value` (0 when it is NaN).
 pub fn add_template(
-    residual: &Grid<f32>,
+    residual: Grid<f32>,
     template: &Grid<f32>,
     mask: Option<&MaskMap>,
     time_axis: usize,
     fill_value: f32,
 ) -> Grid<f32> {
-    apply_template(residual, template, mask, time_axis, fill_value, |r, t| {
-        r + t
-    })
+    let fill = if fill_value.is_nan() { 0.0 } else { fill_value };
+    let shape = residual.shape().clone();
+    let mut values = residual.into_vec();
+    apply_template(
+        &mut values,
+        &shape,
+        template.as_slice(),
+        mask.map(MaskMap::as_slice),
+        time_axis,
+        template.shape().dim(time_axis),
+        |r, t, ok| {
+            if ok {
+                r + t
+            } else {
+                fill
+            }
+        },
+    );
+    Grid::from_vec(shape, values)
 }
 
+/// `v = op(v, template[phase], valid)` at every point, over the cycle walk;
+/// without a mask every point is valid.
 fn apply_template(
-    input: &Grid<f32>,
-    template: &Grid<f32>,
-    mask: Option<&MaskMap>,
+    values: &mut [f32],
+    shape: &Shape,
+    template: &[f32],
+    mask: Option<&[bool]>,
     time_axis: usize,
-    fill_value: f32,
-    op: impl Fn(f32, f32) -> f32,
-) -> Grid<f32> {
-    let shape = input.shape();
-    let period = template.shape().dim(time_axis);
-    let fill = if fill_value.is_nan() { 0.0 } else { fill_value };
-    let mut out = Vec::with_capacity(input.len());
-    let values = input.as_slice();
-    let t_buf = template.as_slice();
+    period: usize,
+    op: impl Fn(f32, f32, bool) -> f32,
+) {
     for (d, t, n) in cycles(shape, time_axis, period) {
-        let pairs = values[d..d + n].iter().zip(&t_buf[t..t + n]);
+        let pairs = values[d..d + n].iter_mut().zip(&template[t..t + n]);
         match mask {
-            None => out.extend(pairs.map(|(&v, &tv)| op(v, tv))),
-            Some(m) => {
-                let flags = &m.as_slice()[d..d + n];
-                out.extend(
-                    pairs
-                        .zip(flags)
-                        .map(|((&v, &tv), &ok)| if ok { op(v, tv) } else { fill }),
-                );
+            None => pairs.for_each(|(v, &tv)| *v = op(*v, tv, true)),
+            Some(flags) => {
+                for ((v, &tv), &ok) in pairs.zip(&flags[d..d + n]) {
+                    *v = op(*v, tv, ok);
+                }
             }
         }
     }
-    Grid::from_vec(shape.clone(), out)
 }
 
 #[cfg(test)]
@@ -375,7 +425,7 @@ mod tests {
                             |d, t| d - t,
                         );
                         assert_eq!(bits(&residual), bits(&want), "subtract_template {case}");
-                        let back = add_template(&residual, &template, mask, time_axis, fill);
+                        let back = add_template(residual.clone(), &template, mask, time_axis, fill);
                         let want = oracle::apply_template(
                             &residual,
                             &template,
@@ -398,6 +448,57 @@ mod tests {
             non_finite.iter().all(|&c| c > 0),
             "±inf/NaN counts {non_finite:?}"
         );
+    }
+
+    /// The residual as the periodic encoder builds it in the walk's buffer:
+    /// the data permuted into the working layout, minus the template
+    /// permuted likewise, along the permuted time axis, with the permuted
+    /// mask. Ranks 2–4, every permutation, every time axis, every period
+    /// from 2 to len − 1 (so periods that do not divide the time extent),
+    /// three masks, values with ±inf and NaN: it equals
+    /// [`subtract_template`]'s residual permuted, bit for bit.
+    #[test]
+    fn working_layout_subtraction_matches_subtract_then_permute() {
+        let shapes: [&[usize]; 3] = [&[4, 7], &[3, 5, 4], &[2, 3, 1, 5]];
+        let mut cases = 0;
+        for dims in shapes {
+            let shape = Shape::new(dims);
+            for time_axis in 0..dims.len() {
+                for period in 2..dims[time_axis] {
+                    let seed = (time_axis * 17 + period) as u64;
+                    let data = order_sensitive_values(&shape, seed);
+                    for mask in sweep_masks(&shape, time_axis, period, seed) {
+                        let mask = mask.as_ref();
+                        let template = build_template(&data, mask, time_axis, period);
+                        let residual = subtract_template(&data, &template, mask, time_axis);
+                        for perm in Shape::all_permutations(dims.len()) {
+                            let working_axis = perm.iter().position(|&p| p == time_axis).unwrap();
+                            let mut buf = data.permuted(&perm).into_vec();
+                            let wmask = mask.map(|m| m.permuted(&perm));
+                            subtract_template_in_place(
+                                &mut buf,
+                                &shape.permuted(&perm),
+                                template.permuted(&perm).as_slice(),
+                                wmask.as_ref().map(MaskMap::as_slice),
+                                working_axis,
+                                period,
+                            );
+                            let want = residual.permuted(&perm);
+                            let got: Vec<u32> = buf.iter().map(|v| v.to_bits()).collect();
+                            assert_eq!(
+                                got,
+                                bits(&want),
+                                "{dims:?} axis {time_axis} period {period} perm {perm:?} \
+                                 masked {}",
+                                mask.is_some()
+                            );
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 100, "{cases} cases");
     }
 
     /// value = phase pattern + station offset: residual should be tiny.
@@ -436,7 +537,7 @@ mod tests {
         });
         let t = build_template(&g, None, 1, 6);
         let r = subtract_template(&g, &t, None, 1);
-        let back = add_template(&r, &t, None, 1, 0.0);
+        let back = add_template(r, &t, None, 1, 0.0);
         for (a, b) in g.as_slice().iter().zip(back.as_slice()) {
             assert!((a - b).abs() < 1e-5);
         }
@@ -448,7 +549,7 @@ mod tests {
         let g = periodic_data(2, 26, 12);
         let t = build_template(&g, None, 1, 12);
         let r = subtract_template(&g, &t, None, 1);
-        let back = add_template(&r, &t, None, 1, 0.0);
+        let back = add_template(r, &t, None, 1, 0.0);
         for (a, b) in g.as_slice().iter().zip(back.as_slice()) {
             assert!((a - b).abs() < 1e-5);
         }

@@ -16,7 +16,7 @@ use crate::config::PipelineConfig;
 use crate::error::ClizError;
 use crate::scratch::ScratchArena;
 use cliz_entropy::{huffman, multi_decode, multi_encode};
-use cliz_grid::{fuse_shape, Grid, MaskMap};
+use cliz_grid::{fuse_shape, Grid, MaskMap, Shape};
 use cliz_predict::{
     predict_quantize, reconstruct, Fitting, InterpParams, ReconstructError, Stretches,
 };
@@ -65,12 +65,14 @@ fn classification_plane(dims: &[usize]) -> Option<usize> {
 
 /// Compresses one grid with the plain pipeline, appending to `out`.
 ///
-/// The zero-copy hot path: an identity permutation borrows the input grid
-/// (and mask) instead of cloning it, the working/symbol buffers come from
-/// `arena` and go back to it before returning, and unmasked data feeds the
-/// entropy coder straight from the symbol grid with no gather pass. Output
-/// bytes are identical to [`compress_plain_alloc_baseline`] — the arena only
-/// changes where the intermediate buffers live, never what is written.
+/// The hot path: the working copy the walk overwrites is the input
+/// permuted straight into an `arena` buffer (a plain copy for the identity
+/// permutation), an identity permutation borrows the mask, the symbol
+/// buffers come from `arena` too and every buffer goes back to it before
+/// returning, and unmasked data feeds the entropy coder straight from the
+/// symbol grid with no gather pass. Output bytes are identical to
+/// [`compress_plain_alloc_baseline`] — the arena only changes where the
+/// intermediate buffers live, never what is written.
 pub fn compress_plain(
     data: &Grid<f32>,
     mask: Option<&MaskMap>,
@@ -79,55 +81,40 @@ pub fn compress_plain(
     out: &mut ByteWriter,
     arena: &mut ScratchArena,
 ) -> Result<PlainStats, ClizError> {
-    let (stats, buf) = encode_plain(data, mask, eb_abs, config, out, arena)?;
+    let (stats, buf) = encode_plain(data, mask, eb_abs, config, out, arena, |_, _, _| {})?;
     arena.recycle_f32(buf);
     Ok(stats)
 }
 
-/// [`compress_plain`] that also hands back the section's reconstruction in
-/// `data`'s layout: at every valid point, the value [`decompress_plain`]
-/// will decode from the bytes written, bit for bit (the walk's in-place
-/// buffer, un-permuted; un-fusing is a reshape). A masked point keeps its
-/// value from `data`. The periodic encoder takes its residual against this
-/// instead of decoding the template it has just encoded.
-pub(crate) fn compress_plain_with_recon(
-    data: &Grid<f32>,
-    mask: Option<&MaskMap>,
-    eb_abs: f64,
-    config: &PipelineConfig,
-    out: &mut ByteWriter,
-    arena: &mut ScratchArena,
-) -> Result<(PlainStats, Grid<f32>), ClizError> {
-    let (stats, buf) = encode_plain(data, mask, eb_abs, config, out, arena)?;
-    let perm = &config.permutation;
-    let working = Grid::from_vec(data.shape().permuted(perm), buf);
-    let identity = perm.iter().enumerate().all(|(i, &p)| i == p);
-    let recon = if identity {
-        working
-    } else {
-        working.unpermuted(perm)
-    };
-    Ok((stats, recon))
-}
-
 /// The plain pipeline behind [`compress_plain`]: writes the section and
-/// returns its stats and the walk's buffer, the reconstruction in the
-/// working layout.
-fn encode_plain(
+/// returns its stats and the walk's buffer, an `arena` buffer holding the
+/// reconstruction in the working layout (`data`'s shape permuted by
+/// `config.permutation`; un-fusing is a reshape). At every valid point it
+/// is the value [`decompress_plain`] will decode from the bytes written,
+/// bit for bit, before the un-permute; a masked point keeps what the walk
+/// read there. The periodic encoder takes its residual against the
+/// template's buffer, in that layout, instead of decoding the template.
+///
+/// `prepare` rewrites the working copy in place before the walk reads it,
+/// given the working shape and, when the mask is active, the working
+/// mask's flags: the periodic residual is the permuted data minus the
+/// template, built in this buffer, so no residual grid is ever made.
+pub(crate) fn encode_plain(
     data: &Grid<f32>,
     mask: Option<&MaskMap>,
     eb_abs: f64,
     config: &PipelineConfig,
     out: &mut ByteWriter,
     arena: &mut ScratchArena,
+    prepare: impl FnOnce(&mut [f32], &Shape, Option<&[bool]>),
 ) -> Result<(PlainStats, Vec<f32>), ClizError> {
-    // 1. Physical permutation (data and mask travel together). The identity
-    //    permutation is the common tuned outcome and must not copy: borrow
-    //    the caller's grid, materialize only a genuinely permuted layout.
+    // 1. Physical permutation (data and mask travel together), straight into
+    //    the walk's buffer. The identity permutation is the common tuned
+    //    outcome: the values are one copy and the mask is borrowed.
     let identity = config.permutation.iter().enumerate().all(|(i, &p)| i == p);
-    let permuted_storage: Option<Grid<f32>> =
-        (!identity).then(|| data.permuted(&config.permutation));
-    let working: &Grid<f32> = permuted_storage.as_ref().unwrap_or(data);
+    let wshape = data.shape().permuted(&config.permutation);
+    let mut buf = arena.take_f32();
+    data.permuted_into(&config.permutation, &mut buf);
     let mask_active = match mask {
         Some(m) => config.use_mask && !m.is_all_valid(),
         None => false,
@@ -142,24 +129,22 @@ fn encode_plain(
         None
     };
     let mask_slice = wmask.map(|m| m.as_slice());
+    prepare(&mut buf, &wshape, mask_slice);
 
     // 2. Fusion: pure reshape of the working layout.
-    let fused = fuse_shape(working.shape(), config.fusion);
+    let fused = fuse_shape(&wshape, config.fusion);
     let dims = fused.dims().to_vec();
 
-    // 3. Predict + quantize into a raster-order symbol grid. The prediction
-    //    buffer must be a mutable copy (the predictor overwrites it with the
-    //    reconstruction), but its backing store is recycled across calls.
-    //    A masked section's stretches are built once, here, and drive the
-    //    walk and the symbol gather.
+    // 3. Predict + quantize into a raster-order symbol grid. The predictor
+    //    overwrites the working copy with the reconstruction. A masked
+    //    section's stretches are built once, here, and drive the walk and
+    //    the symbol gather.
     let quantizer = LinearQuantizer::new(eb_abs);
     let stretches = mask_slice.map(|m| Stretches::new(m, dims[dims.len() - 1]));
     let params = match (mask_slice, &stretches) {
         (Some(m), Some(st)) => InterpParams::with_stretches(config.fitting, m, st),
         _ => InterpParams::new(config.fitting),
     };
-    let mut buf = arena.take_f32();
-    buf.extend_from_slice(working.as_slice());
     let mut symbols = arena.take_u32();
     symbols.resize(buf.len(), 0);
     let escapes = predict_quantize(&mut buf, &dims, &params, &quantizer, &mut symbols);

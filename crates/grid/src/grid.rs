@@ -102,6 +102,16 @@ impl<T: Copy> Grid<T> {
         )
     }
 
+    /// [`Grid::permuted`]'s values written into `out` instead of a new
+    /// grid: `out` is cleared, then holds the grid in the layout of
+    /// `shape().permuted(perm)`. A caller that reuses one buffer (an arena)
+    /// permutes with no allocation once the buffer has grown; the identity
+    /// permutation is one plain copy.
+    pub fn permuted_into(&self, perm: &[usize], out: &mut Vec<T>) {
+        out.clear();
+        permute_into(&self.shape, &self.data, perm, out);
+    }
+
     /// Inverse of [`Grid::permuted`]: undoes the permutation `perm`.
     pub fn unpermuted(&self, perm: &[usize]) -> Grid<T> {
         let mut inverse = vec![0usize; perm.len()];
@@ -172,18 +182,31 @@ impl<T: Copy> Grid<T> {
     }
 }
 
-/// Gathers `values`, row-major over `shape`, into the layout of
-/// `shape.permuted(perm)`: the body of [`Grid::permuted`], which
-/// `MaskMap::permuted` runs on its flags in place. The output is written in
-/// linear order, so the write stream is sequential: an odometer over every
-/// output axis but the last steps once per output row, and each row is one
-/// strided gather from the source (a slice copy when the stride is 1).
+/// [`permute_into`] into a new vector: the body of [`Grid::permuted`],
+/// which `MaskMap::permuted` runs on its flags in place.
 pub(crate) fn permute_values<T: Copy>(shape: &Shape, values: &[T], perm: &[usize]) -> Vec<T> {
+    let mut out = Vec::with_capacity(values.len());
+    permute_into(shape, values, perm, &mut out);
+    out
+}
+
+/// Appends `values`, row-major over `shape`, to `out` in the layout of
+/// `shape.permuted(perm)`. The identity permutation is one slice copy.
+/// Otherwise the output is written in linear order, so the write stream is
+/// sequential: an odometer over every output axis but the last steps once
+/// per output row, and each row is one strided gather from the source (a
+/// slice copy when the stride is 1).
+fn permute_into<T: Copy>(shape: &Shape, values: &[T], perm: &[usize], out: &mut Vec<T>) {
+    if perm.iter().enumerate().all(|(i, &p)| i == p) {
+        out.extend_from_slice(values);
+        return;
+    }
     let last = shape.ndim() - 1;
     let dims: Vec<usize> = perm.iter().map(|&p| shape.dim(p)).collect();
     let gather: Vec<usize> = perm.iter().map(|&p| shape.stride(p)).collect();
     let (row_len, row_stride) = (dims[last], gather[last]);
-    let mut out = Vec::with_capacity(values.len());
+    let start = out.len();
+    out.reserve(values.len());
     let mut coords = vec![0usize; last];
     let mut base = 0usize;
     loop {
@@ -197,8 +220,8 @@ pub(crate) fn permute_values<T: Copy>(shape: &Shape, values: &[T], perm: &[usize
         let mut axis = last;
         loop {
             if axis == 0 {
-                debug_assert_eq!(out.len(), values.len());
-                return out;
+                debug_assert_eq!(out.len() - start, values.len());
+                return;
             }
             axis -= 1;
             coords[axis] += 1;
@@ -238,14 +261,24 @@ impl Grid<f32> {
             );
             m.as_slice()
         });
-        lane_min_max(&self.data, flags)
+        finite_range(&self.data, flags)
     }
 }
 
 /// [`Grid::finite_min_max`]'s scan over `values`, counting only the points
-/// whose flag is set when `flags` is given (as long as `values`).
-fn lane_min_max(values: &[f32], flags: Option<&[bool]>) -> Option<(f32, f32)> {
-    debug_assert!(flags.is_none_or(|f| f.len() == values.len()));
+/// whose flag is set when `flags` is given: the range of a run of a grid's
+/// buffer, such as one slab of a chunked encode, read in place. The result
+/// is the one [`Grid::finite_min_max`] returns for a grid holding just
+/// those values.
+///
+/// # Panics
+///
+/// When `flags` is not as long as `values`.
+pub fn finite_range(values: &[f32], flags: Option<&[bool]>) -> Option<(f32, f32)> {
+    assert!(
+        flags.is_none_or(|f| f.len() == values.len()),
+        "finite_range: flags and values differ in length"
+    );
     let mut lo = [f32::INFINITY; RANGE_LANES];
     let mut hi = [f32::NEG_INFINITY; RANGE_LANES];
     let chunks = values.chunks_exact(RANGE_LANES);
@@ -408,6 +441,35 @@ mod tests {
         }
     }
 
+    /// Every permutation of ranks 1–4, unit dims included: the values
+    /// permuted into a buffer that already holds other values (as an
+    /// arena's may) are [`Grid::permuted`]'s, bit for bit.
+    #[test]
+    fn permuted_into_matches_permuted() {
+        let shapes: [&[usize]; 8] = [
+            &[5],
+            &[1],
+            &[3, 4],
+            &[3, 1],
+            &[2, 3, 4],
+            &[4, 1, 3],
+            &[2, 3, 1, 4],
+            &[3, 2, 2, 5],
+        ];
+        let mut buf = vec![f32::NAN; 7];
+        for dims in shapes {
+            let shape = Shape::new(dims);
+            let n = shape.len();
+            let values = Grid::from_vec(shape, (0..n).map(|i| (i as f32 * 0.61).cos()).collect());
+            for perm in Shape::all_permutations(dims.len()) {
+                values.permuted_into(&perm, &mut buf);
+                let want = values.permuted(&perm);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&buf), bits(want.as_slice()), "{dims:?} {perm:?}");
+            }
+        }
+    }
+
     #[test]
     fn permute_then_unpermute_identity() {
         let g = iota(&[3, 4, 5]);
@@ -482,7 +544,7 @@ mod tests {
                 let none_valid = vec![false; n];
                 for flags in [None, Some(&none_valid[..]), Some(&random[..])] {
                     assert_eq!(
-                        lane_min_max(&values, flags),
+                        finite_range(&values, flags),
                         oracle(&values, flags),
                         "n {n}, valid {:?}",
                         flags.map(|f| f.iter().filter(|&&k| k).count())

@@ -24,9 +24,11 @@ pub mod shape;
 pub mod smooth;
 
 pub use fuse::{fuse_shape, FusionSpec};
-pub use grid::Grid;
+pub use grid::{finite_range, Grid};
 pub use line::{Line, LineIter};
 pub use mask::MaskMap;
 pub use sample::{sample_blocks, SampleSpec, Sampled};
 pub use shape::Shape;
-pub use smooth::{axis_smoothness, dimension_smoothness, smoothness_order, Smoothness};
+pub use smooth::{
+    axis_mean_abs_diff, axis_smoothness, dimension_smoothness, smoothness_order, Smoothness,
+};

@@ -44,97 +44,119 @@ pub fn dimension_smoothness(data: &Grid<f32>, mask: &MaskMap) -> Vec<Smoothness>
 ///
 /// When `mask`'s shape differs from the grid's.
 pub fn axis_smoothness(data: &Grid<f32>, mask: &MaskMap, axis: usize) -> Smoothness {
-    assert_eq!(data.shape(), mask.shape());
-    let n = data.shape().dim(axis);
-    let s = data.shape().stride(axis);
-    let mut lanes = Lanes::default();
-    if n >= 2 && s > 0 {
-        let rows = data.as_slice().chunks_exact(n * s);
-        for (row, flags) in rows.zip(mask.as_slice().chunks_exact(n * s)) {
-            let head = (n - 1) * s;
-            lanes.add(&row[..head], &row[s..], &flags[..head], &flags[s..]);
-        }
+    let mut sum = [0.0f64; SMOOTH_LANES];
+    let mut max = [0.0f64; SMOOTH_LANES];
+    let mut pairs = [0usize; SMOOTH_LANES];
+    for_each_pair_run(data, mask, axis, |a, b, fa, fb| {
+        lanes(a, b, fa, fb, |l, d, ok| {
+            // A pair that is not `ok` adds `+0.0` and cannot raise the
+            // max, selected rather than branched on. A NaN difference
+            // never wins `d > max`, as in a pair-by-pair scan.
+            sum[l] += if ok { d } else { 0.0 };
+            max[l] = if ok & (d > max[l]) { d } else { max[l] };
+            pairs[l] += usize::from(ok);
+        });
+    });
+    let pairs = pairs.iter().sum();
+    Smoothness {
+        mean_abs_diff: mean(&sum, pairs),
+        max_abs_diff: max.iter().fold(0.0, |m: f64, &x| if x > m { x } else { m }),
+        pairs,
     }
-    lanes.finish()
 }
 
-/// Independent accumulators of [`axis_smoothness`]. Sixteen, like the
+/// The mean first difference along `axis` and the number of valid pairs it
+/// averages: [`axis_smoothness`]'s `mean_abs_diff` and `pairs`, bit for
+/// bit, without its maximum. The autotuner ranks axes by the mean alone.
+///
+/// The sums run in [`axis_smoothness`]'s lanes and order, so the mean is
+/// the same number. The pairs are counted on the flags, outside the `f64`
+/// loop; the per-lane maximum is what the lane loop saves.
+///
+/// # Panics
+///
+/// When `mask`'s shape differs from the grid's.
+pub fn axis_mean_abs_diff(data: &Grid<f32>, mask: &MaskMap, axis: usize) -> (f64, usize) {
+    let mut sum = [0.0f64; SMOOTH_LANES];
+    let mut pairs = 0usize;
+    for_each_pair_run(data, mask, axis, |a, b, fa, fb| {
+        lanes(a, b, fa, fb, |l, d, ok| sum[l] += if ok { d } else { 0.0 });
+        pairs += fa.iter().zip(fb).filter(|&(&p, &q)| p & q).count();
+    });
+    (mean(&sum, pairs), pairs)
+}
+
+/// Independent accumulators of the smoothness passes. Sixteen, like the
 /// range scan's lanes in `grid.rs`: the compiler packs sixteen scalar
 /// lanes into whole SSE registers.
 const SMOOTH_LANES: usize = 16;
 
-/// Per-lane sum, max and pair count of [`axis_smoothness`].
-#[derive(Default)]
-struct Lanes {
-    sum: [f64; SMOOTH_LANES],
-    max: [f64; SMOOTH_LANES],
-    pairs: [usize; SMOOTH_LANES],
-}
-
-impl Lanes {
-    /// Adds the pairs `(a[i], b[i])` valid where `fa[i] && fb[i]`; the four
-    /// slices have one length. The remainder past the last whole lane block
-    /// goes to the first lanes.
-    fn add(&mut self, a: &[f32], b: &[f32], fa: &[bool], fb: &[bool]) {
-        let (ac, bc) = (a.chunks_exact(SMOOTH_LANES), b.chunks_exact(SMOOTH_LANES));
-        let (fac, fbc) = (fa.chunks_exact(SMOOTH_LANES), fb.chunks_exact(SMOOTH_LANES));
-        let tails = (
-            ac.remainder(),
-            bc.remainder(),
-            fac.remainder(),
-            fbc.remainder(),
-        );
-        for (((x, y), p), q) in ac.zip(bc).zip(fac).zip(fbc) {
-            for l in 0..SMOOTH_LANES {
-                self.take(l, x[l], y[l], p[l] & q[l]);
-            }
-        }
-        let (x, y, p, q) = tails;
-        for (l, (((&x, &y), &p), &q)) in x.iter().zip(y).zip(p).zip(q).enumerate() {
-            self.take(l, x, y, p & q);
-        }
-    }
-
-    /// One lane update: a pair that is not `ok` adds `+0.0` and cannot
-    /// raise the max, selected rather than branched on. A NaN difference
-    /// never wins `d > max`, as in a pair-by-pair scan.
-    #[inline(always)]
-    fn take(&mut self, l: usize, a: f32, b: f32, ok: bool) {
-        let d = (f64::from(b) - f64::from(a)).abs();
-        self.sum[l] += if ok { d } else { 0.0 };
-        self.max[l] = if ok & (d > self.max[l]) {
-            d
-        } else {
-            self.max[l]
-        };
-        self.pairs[l] += usize::from(ok);
-    }
-
-    /// Folds the lanes in lane order.
-    fn finish(&self) -> Smoothness {
-        let sum = self.sum.iter().fold(0.0, |acc: f64, &x| acc + x);
-        let max = self
-            .max
-            .iter()
-            .fold(0.0, |m: f64, &x| if x > m { x } else { m });
-        let pairs: usize = self.pairs.iter().sum();
-        Smoothness {
-            mean_abs_diff: if pairs > 0 { sum / pairs as f64 } else { 0.0 },
-            max_abs_diff: max,
-            pairs,
+/// Hands `run` every outer row's pairs along `axis` as the four slices
+/// `(row[..head], row[s..], flags[..head], flags[s..])`, in row order.
+fn for_each_pair_run(
+    data: &Grid<f32>,
+    mask: &MaskMap,
+    axis: usize,
+    mut run: impl FnMut(&[f32], &[f32], &[bool], &[bool]),
+) {
+    assert_eq!(data.shape(), mask.shape());
+    let n = data.shape().dim(axis);
+    let s = data.shape().stride(axis);
+    if n >= 2 && s > 0 {
+        let rows = data.as_slice().chunks_exact(n * s);
+        for (row, flags) in rows.zip(mask.as_slice().chunks_exact(n * s)) {
+            let head = (n - 1) * s;
+            run(&row[..head], &row[s..], &flags[..head], &flags[s..]);
         }
     }
 }
 
-/// Axis order from smoothest (smallest mean first difference) to roughest.
-/// This is the heuristic seed for the permutation search: predict most often
-/// along the smoothest axes.
-pub fn smoothness_order(stats: &[Smoothness]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..stats.len()).collect();
+/// Calls `take(lane, |b[i] − a[i]|, fa[i] && fb[i])` for every pair; the
+/// four slices have one length. Pair `i` of a whole lane block goes to lane
+/// `i mod 16`, and the remainder past the last whole block to the first
+/// lanes.
+#[inline(always)]
+fn lanes(a: &[f32], b: &[f32], fa: &[bool], fb: &[bool], mut take: impl FnMut(usize, f64, bool)) {
+    let (ac, bc) = (a.chunks_exact(SMOOTH_LANES), b.chunks_exact(SMOOTH_LANES));
+    let (fac, fbc) = (fa.chunks_exact(SMOOTH_LANES), fb.chunks_exact(SMOOTH_LANES));
+    let tails = (
+        ac.remainder(),
+        bc.remainder(),
+        fac.remainder(),
+        fbc.remainder(),
+    );
+    let diff = |x: f32, y: f32| (f64::from(y) - f64::from(x)).abs();
+    for (((x, y), p), q) in ac.zip(bc).zip(fac).zip(fbc) {
+        for l in 0..SMOOTH_LANES {
+            take(l, diff(x[l], y[l]), p[l] & q[l]);
+        }
+    }
+    let (x, y, p, q) = tails;
+    for (l, (((&x, &y), &p), &q)) in x.iter().zip(y).zip(p).zip(q).enumerate() {
+        take(l, diff(x, y), p & q);
+    }
+}
+
+/// The lane sums folded in lane order, over `pairs`; 0 with no pair.
+fn mean(sum: &[f64; SMOOTH_LANES], pairs: usize) -> f64 {
+    let sum = sum.iter().fold(0.0, |acc: f64, &x| acc + x);
+    if pairs > 0 {
+        sum / pairs as f64
+    } else {
+        0.0
+    }
+}
+
+/// Axis order from smoothest (smallest mean first difference) to roughest,
+/// given each axis's mean ([`axis_mean_abs_diff`]). This is the heuristic
+/// seed for the permutation search: predict most often along the smoothest
+/// axes.
+pub fn smoothness_order(means: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..means.len()).collect();
     // total_cmp: NaN smoothness (conceivable on an all-NaN masked axis)
     // sorts last instead of collapsing to Equal, which would make the
     // seed order depend on the incoming index order.
-    order.sort_by(|&a, &b| stats[a].mean_abs_diff.total_cmp(&stats[b].mean_abs_diff));
+    order.sort_by(|&a, &b| means[a].total_cmp(&means[b]));
     order
 }
 
@@ -153,7 +175,8 @@ mod tests {
         let s = dimension_smoothness(&g, &m);
         assert!((s[0].mean_abs_diff - 10.0).abs() < 1e-4);
         assert!((s[1].mean_abs_diff - 0.1).abs() < 1e-4);
-        assert_eq!(smoothness_order(&s), vec![1, 0]);
+        let means: Vec<f64> = (0..2).map(|a| axis_mean_abs_diff(&g, &m, a).0).collect();
+        assert_eq!(smoothness_order(&means), vec![1, 0]);
     }
 
     #[test]
@@ -206,7 +229,8 @@ mod tests {
     /// degenerate axes), values mixing NaN, ±inf and finite draws, masks
     /// all valid, none valid and random. Pairs and max equal the oracle's
     /// exactly; the mean is equal within 1e-12 relative, or NaN on both
-    /// sides.
+    /// sides. The mean-only kernel returns the full pass's mean bits and
+    /// pair count, so it meets the oracle as closely.
     #[test]
     fn lane_smoothness_matches_line_oracle() {
         let mut state = 0x5300_7A1Du64;
@@ -243,6 +267,9 @@ mod tests {
                         let got = axis_smoothness(&data, mask, axis);
                         let want = line_oracle(&data, mask, axis);
                         let ctx = format!("dims {dims:?}, axis {axis}");
+                        let (mean, pairs) = axis_mean_abs_diff(&data, mask, axis);
+                        assert_eq!(mean.to_bits(), got.mean_abs_diff.to_bits(), "{ctx}");
+                        assert_eq!(pairs, got.pairs, "{ctx}");
                         assert_eq!(got.pairs, want.pairs, "{ctx}");
                         assert_eq!(got.max_abs_diff, want.max_abs_diff, "{ctx}");
                         let (g, w) = (got.mean_abs_diff, want.mean_abs_diff);

@@ -182,6 +182,82 @@ mod tests {
         }
     }
 
+    /// A masked field with an annual cycle along its last axis, under a
+    /// permuted periodic config.
+    fn masked_periodic() -> (Dataset, PipelineConfig) {
+        let dims = [10usize, 6, 30];
+        let g = Grid::from_fn(Shape::new(&dims), |c| {
+            let phase = std::f32::consts::TAU * (c[2] % 12) as f32 / 12.0;
+            c[0] as f32 * 0.7 + (c[1] as f32 * 0.3).sin() + 2.0 * phase.sin()
+        });
+        let valid = (0..g.len())
+            .map(|i| (i / 30 % 7) != 2 && i % 11 != 0)
+            .collect();
+        let mask = MaskMap::from_flags(Shape::new(&dims), valid);
+        let mut ds = Dataset::new("sst", g, Some(mask));
+        ds.dim_names = ["lat", "lon", "time"].map(String::from).to_vec();
+        let cfg = PipelineConfig {
+            permutation: vec![2, 0, 1],
+            periodicity: cliz_core::Periodicity::Extract {
+                time_axis: 2,
+                period: 12,
+            },
+            ..PipelineConfig::default_for(3)
+        };
+        (ds, cfg)
+    }
+
+    /// Packed under a relative bound (so the range pass runs on the pool
+    /// too), the whole store, index, CRCs, mask frame and payload, is the
+    /// same bytes at 0, 1, 2 and 3 workers.
+    #[test]
+    fn store_bytes_identical_across_worker_counts() {
+        let (ds, cfg) = masked_periodic();
+        let bound = ErrorBound::Rel(1e-3);
+        let serial = pack_store(&ds, bound, &cfg, 3, 1).unwrap();
+        let parsed = parse_store(&serial).unwrap();
+        assert_eq!(parsed.mask.as_ref(), ds.mask.as_ref());
+        assert_eq!(parsed.index.entries.len(), 4);
+        for workers in [0, 2, 3] {
+            let par = pack_store(&ds, bound, &cfg, 3, workers).unwrap();
+            assert_eq!(par, serial, "store diverged at {workers} workers");
+        }
+    }
+
+    /// A dataset that fails validation, and a slab that fails in the pool
+    /// (an infinite bound reaches every slab's quantizer, which panics; the
+    /// pool reports it as `Backend`), are typed errors at every worker
+    /// count, masked or not.
+    #[test]
+    fn pack_failures_are_typed_at_every_worker_count() {
+        let (ds, cfg) = masked_periodic();
+        let mut unmasked = ds.clone();
+        unmasked.mask = None;
+        let mut bad = ds.clone();
+        bad.dim_names.pop();
+        for workers in [0, 1, 2, 3] {
+            let got = pack_store(&bad, ErrorBound::Rel(1e-3), &cfg, 3, workers);
+            assert!(
+                matches!(
+                    got,
+                    Err(StoreError::Invalid("dimension-name arity mismatch"))
+                ),
+                "{workers} workers: {got:?}"
+            );
+            for ds in [&ds, &unmasked] {
+                let got = pack_store(ds, ErrorBound::Abs(f64::INFINITY), &cfg, 3, workers);
+                assert!(
+                    matches!(
+                        &got,
+                        Err(StoreError::Codec(cliz_core::ClizError::Backend(_)))
+                    ),
+                    "{workers} workers, masked {}: {got:?}",
+                    ds.mask.is_some()
+                );
+            }
+        }
+    }
+
     #[test]
     fn invalid_dataset_is_an_error_not_a_panic() {
         let mut ds = Dataset::new("x", smooth(&[6, 4]), None);

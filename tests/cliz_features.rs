@@ -180,3 +180,44 @@ fn tuned_config_transfers_across_fields_of_same_model() {
     let psnr = cliz::metrics::psnr(other.data.as_slice(), out.as_slice(), other.mask.as_ref());
     assert!(psnr > 55.0, "transferred config gives poor quality: {psnr}");
 }
+
+/// The fast tuner ranks axes by their mean first difference alone, through
+/// the mean-only kernel. Its orientation must be the one the full
+/// smoothness statistics give (roughest axis first), for the winner and
+/// every ranked candidate, on every generator of cliz-climate-data at two
+/// seeds, masked and periodic fields included.
+#[test]
+fn fast_tuner_orientation_follows_full_smoothness_statistics() {
+    use cliz::data::{cesm_t, hurricane_t, relhum, salt, soilliq, ssh, tsfc};
+    for seed in [5u64, 31] {
+        let fields = [
+            ssh(&[20, 24, 48], seed),
+            cesm_t(&[8, 20, 24], seed),
+            relhum(&[8, 20, 24], seed),
+            soilliq(&[36, 3, 10, 12], seed),
+            salt(&[3, 10, 12, 36], seed),
+            tsfc(&[20, 24, 48], seed),
+            hurricane_t(&[10, 20, 20], seed),
+        ];
+        for d in &fields {
+            let all_valid = MaskMap::all_valid(d.data.shape().clone());
+            let mask = d.mask.as_ref().unwrap_or(&all_valid);
+            let stats = cliz::grid::dimension_smoothness(&d.data, mask);
+            let mut rough_first: Vec<usize> = (0..stats.len()).collect();
+            rough_first.sort_by(|&a, &b| stats[a].mean_abs_diff.total_cmp(&stats[b].mean_abs_diff));
+            rough_first.reverse();
+            let spec = TuneSpec {
+                sampling_rate: 0.05,
+                time_axis: d.time_axis,
+                ..TuneSpec::new(ErrorBound::Rel(1e-3))
+            };
+            let fast = autotune_fast(&d.data, d.mask.as_ref(), spec).unwrap();
+            let name = format!("{} seed {seed}", d.kind.name());
+            assert_eq!(fast.best.permutation, rough_first, "{name}: winner");
+            assert!(!fast.ranking.is_empty(), "{name}");
+            for c in &fast.ranking {
+                assert_eq!(c.config.permutation, rough_first, "{name}: ranking");
+            }
+        }
+    }
+}
