@@ -14,10 +14,11 @@
 //! ```
 
 use cliz::data::DatasetKind;
-use cliz::entropy::{huffman, multi_encode, range_encode_stream};
+use cliz::entropy::{huffman, multi_encode};
 use cliz::predict::{predict_quantize, Fitting, InterpParams};
 use cliz::quant::classify::{apply_shifts, classify, ClassifySpec};
 use cliz::quant::LinearQuantizer;
+use cliz_bench::range::range_encode_stream;
 use cliz_bench::{datasets, Args, Report, ScaledDims};
 
 fn main() {

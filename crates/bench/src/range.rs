@@ -3,17 +3,19 @@
 //! An arithmetic-family alternative to the Huffman stage: symbols cost their
 //! true fractional entropy instead of whole bits, which matters for the
 //! heavily peaked quantization-bin histograms CliZ produces (a 95%-probable
-//! zero bin costs ~0.07 bits here vs a full bit under Huffman). Included to
-//! quantify what the paper's multi-Huffman design leaves on the table
-//! relative to (slower) arithmetic coding — see the `ablation_entropy`
-//! harness.
+//! zero bin costs ~0.07 bits here vs a full bit under Huffman). It is a
+//! comparison point, not part of the codec: the `ablation_entropy` harness
+//! uses it to quantify what the paper's multi-Huffman design leaves on the
+//! table relative to (slower) arithmetic coding.
 
-use cliz_grid::cast;
+use cliz::grid::cast;
 
 /// Total frequency scale (power of two so division is exact and cheap).
 const TOTAL_BITS: u32 = 16;
 const TOTAL: u32 = 1 << TOTAL_BITS;
 const TOP: u32 = 1 << 24;
+/// Decode-side cap on the alphabet a stream header may claim.
+const MAX_ALPHABET: usize = 1 << 24;
 
 /// Scales a histogram to sum exactly [`TOTAL`], keeping every used symbol's
 /// frequency ≥ 1.
@@ -183,7 +185,7 @@ impl<'a> RangeDecoder<'a> {
 /// | range-coder bytes`.
 ///
 /// ```
-/// use cliz_entropy::{range_encode_stream, range_decode_stream};
+/// use cliz_bench::range::{range_decode_stream, range_encode_stream};
 /// let symbols: Vec<u32> = (0..1000).map(|i| if i % 9 == 0 { 2 } else { 1 }).collect();
 /// let bytes = range_encode_stream(&symbols);
 /// assert_eq!(range_decode_stream(&bytes), Some(symbols));
@@ -241,7 +243,7 @@ pub fn range_decode_stream(bytes: &[u8]) -> Option<Vec<u32>> {
     if count == 0 {
         return Some(Vec::new());
     }
-    if used == 0 || used > alphabet || alphabet > crate::MAX_DECODE_ALPHABET {
+    if used == 0 || used > alphabet || alphabet > MAX_ALPHABET {
         return None;
     }
     // Each used entry occupies 6 bytes; reject a count the stream cannot
@@ -327,7 +329,7 @@ mod tests {
             .map(|i| if i % 20 == 0 { 2 } else { 1 })
             .collect();
         let rc = range_encode_stream(&symbols).len();
-        let hf = crate::huffman::encode_stream(&symbols).len();
+        let hf = cliz::entropy::huffman::encode_stream(&symbols).len();
         assert!(rc < hf / 2, "range {rc} vs huffman {hf}");
     }
 
@@ -375,5 +377,29 @@ mod tests {
         let mut b = bytes.clone();
         b[8] ^= 0xFF;
         let _ = range_decode_stream(&b);
+    }
+
+    /// 64 seeded streams of up to 1500 symbols over a 3000-symbol
+    /// alphabet; a failing case names its seed.
+    #[test]
+    fn range_coder_roundtrips_arbitrary_symbols() {
+        for case in 0..64u64 {
+            let seed = case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut state = seed;
+            let mut draw = |n: u64| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 16) % n
+            };
+            let len = draw(1500);
+            let symbols: Vec<u32> = (0..len).map(|_| draw(3000) as u32).collect();
+            let bytes = range_encode_stream(&symbols);
+            assert_eq!(
+                range_decode_stream(&bytes),
+                Some(symbols),
+                "case {case} (seed {seed:#x})"
+            );
+        }
     }
 }

@@ -74,9 +74,14 @@ pub struct CzFile {
     pub payload: Vec<u8>,
 }
 
-fn write_string(w: &mut impl Write, s: &str) -> std::io::Result<()> {
-    w.write_all(&(s.len() as u16).to_le_bytes())?;
-    w.write_all(s.as_bytes())
+/// Writes `s` behind its `u16` length; a longer string is refused, as
+/// CAF1's writer refuses it, rather than written under a wrapped length.
+fn write_string(w: &mut impl Write, s: &str) -> Result<(), CliError> {
+    let len =
+        u16::try_from(s.len()).map_err(|_| CliError::new("cz: string of more than 65535 bytes"))?;
+    w.write_all(&len.to_le_bytes())?;
+    w.write_all(s.as_bytes())?;
+    Ok(())
 }
 
 fn read_string(r: &mut impl Read) -> Result<String, CliError> {
@@ -98,11 +103,15 @@ fn write_cz(w: &mut impl Write, cz: &CzFile) -> Result<(), CliError> {
     w.write_all(&[CZF1.version])?;
     w.write_all(&[cz.codec as u8])?;
     write_string(w, &cz.name)?;
-    w.write_all(&[cz.dim_names.len() as u8])?;
+    let ndim = u8::try_from(cz.dim_names.len())
+        .map_err(|_| CliError::new("cz: more than 255 dimensions"))?;
+    w.write_all(&[ndim])?;
     for d in &cz.dim_names {
         write_string(w, d)?;
     }
-    w.write_all(&(cz.attrs.len() as u16).to_le_bytes())?;
+    let nattrs = u16::try_from(cz.attrs.len())
+        .map_err(|_| CliError::new("cz: more than 65535 attributes"))?;
+    w.write_all(&nattrs.to_le_bytes())?;
     for (k, v) in &cz.attrs {
         write_string(w, k)?;
         write_string(w, v)?;
@@ -212,6 +221,62 @@ mod tests {
         save(&path, &cz).unwrap();
         let back = load(&path).unwrap();
         assert_eq!(back, cz);
+    }
+
+    #[test]
+    fn oversized_metadata_refused_and_no_file_left() {
+        let base = CzFile {
+            codec: Codec::Cliz,
+            name: "SSH".into(),
+            dim_names: vec!["lat".into()],
+            attrs: vec![],
+            masked: false,
+            payload: vec![1, 2, 3],
+        };
+        let long = "x".repeat(1 << 16);
+        let dir = std::env::temp_dir().join(format!("cliz_cz_oversized_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (i, cz) in [
+            CzFile {
+                name: long.clone(),
+                ..base.clone()
+            },
+            CzFile {
+                dim_names: vec![long.clone()],
+                ..base.clone()
+            },
+            CzFile {
+                attrs: vec![("units".into(), long.clone())],
+                ..base.clone()
+            },
+            CzFile {
+                dim_names: vec![String::new(); 256],
+                ..base.clone()
+            },
+            CzFile {
+                attrs: vec![(String::new(), String::new()); 1 << 16],
+                ..base.clone()
+            },
+        ]
+        .iter()
+        .enumerate()
+        {
+            let path = dir.join(format!("long{i}.cz"));
+            let err = save(&path, cz).unwrap_err();
+            assert!(err.to_string().contains("more than"), "{err}");
+        }
+        // Nothing was left behind, not even a temp file.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        // The longest string the length prefix holds still round-trips.
+        let fits = CzFile {
+            name: "x".repeat(65_535),
+            ..base
+        };
+        let path = dir.join("fits.cz");
+        save(&path, &fits).unwrap();
+        assert_eq!(load(&path).unwrap(), fits);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

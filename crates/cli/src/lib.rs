@@ -21,6 +21,18 @@
 //! chunks a region touches. A chunked `.cz` (codec 6) written by an earlier
 //! build still decompresses.
 
+// Decode paths must never panic on untrusted input (see docs/STATIC_ANALYSIS.md).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented
+    )
+)]
+
 pub mod args;
 pub mod commands;
 pub mod czfile;

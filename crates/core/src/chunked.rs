@@ -20,14 +20,13 @@
 //! the results come back in slab order. The container bytes and the decoded
 //! grid are byte-identical across any worker count, including 1.
 
-use crate::bytesio::{ByteReader, ByteWriter};
 use crate::compressor::{
     compress_alloc_baseline, compress_resolved, decompress_arena, valid_min_max,
 };
 use crate::config::PipelineConfig;
 use crate::error::ClizError;
 use crate::scratch::ScratchArena;
-use cliz_format::spec::CLZC;
+use cliz_format::{spec::CLZC, HeaderReader, HeaderWriter};
 use cliz_grid::{Grid, MaskMap, Shape};
 use cliz_quant::ErrorBound;
 use cliz_transfer::assign_lpt;
@@ -212,7 +211,7 @@ fn compress_one_chunk(
 /// Writes the CLZC header, offset table and chunk blobs.
 fn assemble_container(dims: &[usize], chunk_len: usize, blobs: &[Vec<u8>]) -> Vec<u8> {
     let n_chunks = blobs.len();
-    let mut w = ByteWriter::new();
+    let mut w = HeaderWriter::new();
     w.magic(&CLZC);
     w.u8(dims.len() as u8);
     for &d in dims {
@@ -488,7 +487,7 @@ fn parse_header(
     bytes: &[u8],
     container_len: usize,
 ) -> Result<(ChunkedHeader, ChunkIndex), ClizError> {
-    let mut r = ByteReader::new(bytes);
+    let mut r = HeaderReader::new(bytes);
     r.expect_magic(&CLZC)?;
     let ndim = r.u8()? as usize;
     if ndim == 0 || ndim > cliz_grid::shape::MAX_DIMS {

@@ -22,15 +22,12 @@
 //! exclude it. Decompressing a masked stream without the mask yields
 //! [`ClizError::MaskRequired`].
 
-use crate::bytesio::{ByteReader, ByteWriter};
 use crate::config::{Periodicity, PipelineConfig};
 use crate::error::ClizError;
 use crate::periodic::{add_template, build_template, subtract_template_in_place, template_mask};
-use crate::pipeline::{
-    compress_plain, compress_plain_alloc_baseline, decompress_plain, encode_plain, PlainStats,
-};
+use crate::pipeline::{compress_plain_alloc_baseline, decompress_plain, encode_plain, PlainStats};
 use crate::scratch::ScratchArena;
-use cliz_format::spec::CLIZ;
+use cliz_format::{spec::CLIZ, HeaderReader, HeaderWriter};
 use cliz_grid::{Grid, MaskMap, Shape};
 use cliz_quant::ErrorBound;
 
@@ -216,8 +213,16 @@ pub(crate) fn compress_resolved(
         }
         Periodicity::None => {
             w.u8(MODE_PLAIN);
-            let plain: PlainStats =
-                compress_plain(data, effective_mask, eb_abs, config, &mut w, arena)?;
+            let (plain, buf) = encode_plain(
+                data,
+                effective_mask,
+                eb_abs,
+                config,
+                &mut w,
+                arena,
+                |_, _, _| {},
+            )?;
+            arena.recycle_f32(buf);
             stats.escapes = plain.escapes;
             stats.classification_used = plain.classification_used;
         }
@@ -237,8 +242,8 @@ fn effective<'m>(mask: Option<&'m MaskMap>, config: &PipelineConfig) -> Option<&
 /// A container's header up to its mode byte: magic, shape, the resolved
 /// bound, the fill written at masked points, and whether the stream needs
 /// the mask.
-fn container_header(shape: &Shape, eb_abs: f64, fill: f32, masked: bool) -> ByteWriter {
-    let mut w = ByteWriter::new();
+fn container_header(shape: &Shape, eb_abs: f64, fill: f32, masked: bool) -> HeaderWriter {
+    let mut w = HeaderWriter::new();
     w.magic(&CLIZ);
     w.u8(shape.ndim() as u8);
     for &d in shape.dims() {
@@ -333,7 +338,7 @@ pub fn compress_alloc_baseline(
     let eb_abs = bound.resolve(mn, mx);
     let fill = representative_fill(data, effective_mask);
 
-    let mut w = ByteWriter::new();
+    let mut w = HeaderWriter::new();
     w.magic(&CLIZ);
     w.u8(data.shape().ndim() as u8);
     for &d in data.shape().dims() {
@@ -361,7 +366,7 @@ pub fn decompress_arena(
     mask: Option<&MaskMap>,
     arena: &mut ScratchArena,
 ) -> Result<Grid<f32>, ClizError> {
-    let mut r = ByteReader::new(bytes);
+    let mut r = HeaderReader::new(bytes);
     r.expect_magic(&CLIZ)?;
     let ndim = r.u8()? as usize;
     if ndim == 0 || ndim > cliz_grid::shape::MAX_DIMS {
@@ -712,7 +717,7 @@ mod tests {
                         &mut ScratchArena::new(),
                     )
                     .unwrap();
-                    let mut r = ByteReader::new(&bytes);
+                    let mut r = HeaderReader::new(&bytes);
                     r.expect_magic(&CLIZ).unwrap();
                     for _ in 0..r.u8().unwrap() {
                         r.u64().unwrap();

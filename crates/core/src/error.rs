@@ -54,3 +54,36 @@ impl From<cliz_format::FormatError> for ClizError {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cliz_format::{FormatError, HeaderReader, HeaderWriter};
+
+    fn read_u64(bytes: &[u8]) -> Result<u64, ClizError> {
+        let mut r = HeaderReader::new(bytes);
+        Ok(r.u64()?)
+    }
+
+    #[test]
+    fn truncation_converts_to_cliz_error() {
+        let mut w = HeaderWriter::new();
+        w.u32(1);
+        assert_eq!(read_u64(&w.finish()), Err(ClizError::Truncated));
+    }
+
+    #[test]
+    fn every_format_error_maps_to_its_cliz_twin() {
+        for (fe, ce) in [
+            (FormatError::Truncated, ClizError::Truncated),
+            (FormatError::BadMagic, ClizError::BadMagic),
+            (
+                FormatError::UnsupportedVersion(9),
+                ClizError::UnsupportedVersion(9),
+            ),
+            (FormatError::Corrupt("x"), ClizError::Corrupt("x")),
+        ] {
+            assert_eq!(ClizError::from(fe), ce);
+        }
+    }
+}

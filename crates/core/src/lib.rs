@@ -37,10 +37,18 @@
 //! ```
 
 // Decode paths must never panic on untrusted input (see docs/STATIC_ANALYSIS.md).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented
+    )
+)]
 
 pub mod autotune;
-pub mod bytesio;
 pub mod chunked;
 pub mod compressor;
 pub mod config;

@@ -11,11 +11,11 @@
 //! its Huffman codebook leaves open: the escapes' positions when the book
 //! holds an escape, nothing otherwise).
 
-use crate::bytesio::{ByteReader, ByteWriter};
 use crate::config::PipelineConfig;
 use crate::error::ClizError;
 use crate::scratch::ScratchArena;
 use cliz_entropy::{huffman, multi_decode, multi_encode};
+use cliz_format::{HeaderReader, HeaderWriter};
 use cliz_grid::{fuse_shape, Grid, MaskMap, Shape};
 use cliz_predict::{
     predict_quantize, reconstruct, Fitting, InterpParams, ReconstructError, Stretches,
@@ -63,37 +63,26 @@ fn classification_plane(dims: &[usize]) -> Option<usize> {
     (slices >= 2).then_some(h_len)
 }
 
-/// Compresses one grid with the plain pipeline, appending to `out`.
+/// Compresses one grid with the plain pipeline, appending its section to
+/// `out`, and returns its stats and the walk's buffer, which the caller
+/// hands back to `arena` once done with it.
 ///
 /// The hot path: the working copy the walk overwrites is the input
 /// permuted straight into an `arena` buffer (a plain copy for the identity
 /// permutation), an identity permutation borrows the mask, the symbol
-/// buffers come from `arena` too and every buffer goes back to it before
-/// returning, and unmasked data feeds the entropy coder straight from the
-/// symbol grid with no gather pass. Output bytes are identical to
+/// buffers come from `arena` too and go back to it before returning, and
+/// unmasked data feeds the entropy coder straight from the symbol grid
+/// with no gather pass. Output bytes are identical to
 /// [`compress_plain_alloc_baseline`] — the arena only changes where the
 /// intermediate buffers live, never what is written.
-pub fn compress_plain(
-    data: &Grid<f32>,
-    mask: Option<&MaskMap>,
-    eb_abs: f64,
-    config: &PipelineConfig,
-    out: &mut ByteWriter,
-    arena: &mut ScratchArena,
-) -> Result<PlainStats, ClizError> {
-    let (stats, buf) = encode_plain(data, mask, eb_abs, config, out, arena, |_, _, _| {})?;
-    arena.recycle_f32(buf);
-    Ok(stats)
-}
-
-/// The plain pipeline behind [`compress_plain`]: writes the section and
-/// returns its stats and the walk's buffer, an `arena` buffer holding the
-/// reconstruction in the working layout (`data`'s shape permuted by
-/// `config.permutation`; un-fusing is a reshape). At every valid point it
-/// is the value [`decompress_plain`] will decode from the bytes written,
-/// bit for bit, before the un-permute; a masked point keeps what the walk
-/// read there. The periodic encoder takes its residual against the
-/// template's buffer, in that layout, instead of decoding the template.
+///
+/// The returned buffer holds the reconstruction in the working layout
+/// (`data`'s shape permuted by `config.permutation`; un-fusing is a
+/// reshape). At every valid point it is the value [`decompress_plain`]
+/// will decode from the bytes written, bit for bit, before the
+/// un-permute; a masked point keeps what the walk read there. The
+/// periodic encoder takes its residual against the template's buffer, in
+/// that layout, instead of decoding the template.
 ///
 /// `prepare` rewrites the working copy in place before the walk reads it,
 /// given the working shape and, when the mask is active, the working
@@ -104,7 +93,7 @@ pub(crate) fn encode_plain(
     mask: Option<&MaskMap>,
     eb_abs: f64,
     config: &PipelineConfig,
-    out: &mut ByteWriter,
+    out: &mut HeaderWriter,
     arena: &mut ScratchArena,
     prepare: impl FnOnce(&mut [f32], &Shape, Option<&[bool]>),
 ) -> Result<(PlainStats, Vec<f32>), ClizError> {
@@ -198,7 +187,7 @@ pub(crate) fn encode_plain(
     debug_assert_eq!(literals.len(), escapes * 4);
 
     // 7. Assemble payload and squeeze with the lossless backend.
-    let mut payload = ByteWriter::new();
+    let mut payload = HeaderWriter::new();
     match &class {
         Some(c) => payload.block(&c.marker_bytes()),
         None => payload.block(&[]),
@@ -229,7 +218,7 @@ pub(crate) fn encode_plain(
     Ok((stats, buf))
 }
 
-/// Frozen pre-optimization reference implementation of [`compress_plain`]:
+/// Frozen pre-optimization reference implementation of `encode_plain`:
 /// clones the grid even for identity permutations, allocates every scratch
 /// buffer fresh, and always gathers valid symbols. Kept verbatim as the
 /// differential oracle the parallel/arena tests compare bytes against. Do
@@ -241,7 +230,7 @@ pub fn compress_plain_alloc_baseline(
     mask: Option<&MaskMap>,
     eb_abs: f64,
     config: &PipelineConfig,
-    out: &mut ByteWriter,
+    out: &mut HeaderWriter,
 ) -> Result<PlainStats, ClizError> {
     let identity = config.permutation.iter().enumerate().all(|(i, &p)| i == p);
     let working = if identity {
@@ -311,7 +300,7 @@ pub fn compress_plain_alloc_baseline(
     }
     debug_assert_eq!(literals.len(), escapes * 4);
 
-    let mut payload = ByteWriter::new();
+    let mut payload = HeaderWriter::new();
     match &class {
         Some(c) => payload.block(&c.marker_bytes()),
         None => payload.block(&[]),
@@ -349,7 +338,7 @@ pub fn compress_plain_alloc_baseline(
 /// (the output grid itself is necessarily a fresh allocation — it leaves
 /// the function).
 pub fn decompress_plain(
-    r: &mut ByteReader,
+    r: &mut HeaderReader,
     dims: &[usize],
     eb_abs: f64,
     mask: Option<&MaskMap>,
@@ -375,7 +364,7 @@ pub fn decompress_plain(
     let escapes = r.u64()? as usize;
     let packed = r.block()?;
     let payload = cliz_lossless::decompress(packed)?;
-    let mut pr = ByteReader::new(&payload);
+    let mut pr = HeaderReader::new(&payload);
     let marker_bytes = pr.block()?;
     let stream = pr.block()?;
 
@@ -545,10 +534,12 @@ mod tests {
         config: &PipelineConfig,
     ) -> (Grid<f32>, PlainStats) {
         let mut arena = ScratchArena::new();
-        let mut w = ByteWriter::new();
-        let stats = compress_plain(data, mask, eb, config, &mut w, &mut arena).unwrap();
+        let mut w = HeaderWriter::new();
+        let (stats, buf) =
+            encode_plain(data, mask, eb, config, &mut w, &mut arena, |_, _, _| {}).unwrap();
+        arena.recycle_f32(buf);
         let bytes = w.finish();
-        let mut r = ByteReader::new(&bytes);
+        let mut r = HeaderReader::new(&bytes);
         let out =
             decompress_plain(&mut r, data.shape().dims(), eb, mask, -7.0, &mut arena).unwrap();
         assert_eq!(r.remaining(), 0);
@@ -641,14 +632,14 @@ mod tests {
     /// fitting, the classification flag set when `markers` is non-empty,
     /// and one escape in the header per literal.
     fn crafted_section(ndim: usize, markers: &[u8], stream: &[u8], literals: &[f32]) -> Vec<u8> {
-        let mut payload = ByteWriter::new();
+        let mut payload = HeaderWriter::new();
         payload.block(markers);
         payload.block(stream);
         for &v in literals {
             payload.f32(v);
         }
         let packed = cliz_lossless::compress(&payload.finish());
-        let mut out = ByteWriter::new();
+        let mut out = HeaderWriter::new();
         for p in 0..ndim {
             out.u8(p as u8);
         }
@@ -668,7 +659,7 @@ mod tests {
     ) -> Result<Grid<f32>, ClizError> {
         let mut arena = ScratchArena::new();
         decompress_plain(
-            &mut ByteReader::new(bytes),
+            &mut HeaderReader::new(bytes),
             dims,
             1e-3,
             mask,
@@ -897,12 +888,12 @@ mod tests {
         let g = smooth(&[8, 8]);
         let cfg = PipelineConfig::default_for(2);
         let mut arena = ScratchArena::new();
-        let mut w = ByteWriter::new();
-        compress_plain(&g, None, 1e-3, &cfg, &mut w, &mut arena).unwrap();
+        let mut w = HeaderWriter::new();
+        encode_plain(&g, None, 1e-3, &cfg, &mut w, &mut arena, |_, _, _| {}).unwrap();
         let mut bytes = w.finish();
         let n = bytes.len();
         bytes.truncate(n / 2);
-        let mut r = ByteReader::new(&bytes);
+        let mut r = HeaderReader::new(&bytes);
         assert!(decompress_plain(&mut r, &[8, 8], 1e-3, None, 0.0, &mut arena).is_err());
     }
 }

@@ -440,7 +440,7 @@ impl HuffmanDecoder {
                         Some(s) => pack_entry(&[(s, len)]),
                         None => u64::from(len) << END_SHIFT,
                     };
-                    let base = (code << (LUT_BITS - len)) as usize;
+                    let base = cast::to_usize_checked(code << (LUT_BITS - len))?;
                     table[base..base + (1usize << (LUT_BITS - len))].fill(entry);
                 }
                 code += 1;

@@ -12,13 +12,25 @@
 //! bit order, canonical codes) so encode and decode are bit-exact across
 //! platforms.
 
-// Decode paths must never panic on untrusted input (see docs/STATIC_ANALYSIS.md).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Decode paths must never panic on untrusted input, and truncating or
+// wrapping casts go through the `cliz_grid::cast` helpers (see
+// docs/STATIC_ANALYSIS.md).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap
+    )
+)]
 
 pub mod bitio;
 pub mod huffman;
 pub mod multi;
-pub mod range;
 pub mod reference;
 
 /// Decode-side cap on symbol-alphabet sizes read from untrusted headers.
@@ -30,4 +42,3 @@ pub(crate) const MAX_DECODE_ALPHABET: usize = 1 << 24;
 pub use bitio::{BitReader, BitWriter};
 pub use huffman::{HuffmanDecoder, HuffmanEncoder};
 pub use multi::{multi_decode, multi_encode};
-pub use range::{range_decode_stream, range_encode_stream};

@@ -233,6 +233,10 @@ impl RefHuffmanDecoder {
                 code <<= len - prev_len;
                 prev_len = len;
                 if len <= LUT_BITS {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "frozen reference, kept verbatim; code < 2^LUT_BITS here, so the cast is exact"
+                    )]
                     let base = (code << (LUT_BITS - len)) as usize;
                     for slot in &mut lut[base..base + (1usize << (LUT_BITS - len))] {
                         *slot = (s, cast::low_u8(len));

@@ -1,9 +1,10 @@
 //! Checked numeric conversions for the compression hot paths.
 //!
-//! The xtask lint pass (rule R2) forbids bare `as` casts to narrowing-prone
-//! integer types in the quantizer/entropy/predictor crates: a silently
-//! wrapping cast on a corrupt bitstream turns a decode error into wrong
-//! output. These helpers make every conversion's intent explicit:
+//! The quantizer, entropy, predictor and metrics crates deny clippy's
+//! `cast_possible_truncation` and `cast_possible_wrap` outside tests, so a
+//! bare narrowing `as` cast does not compile there: a silently wrapping
+//! cast on a corrupt bitstream turns a decode error into wrong output.
+//! These helpers make every conversion's intent explicit:
 //!
 //! * `to_*_checked` — fallible range-checked conversions (`None` on
 //!   overflow), for values derived from untrusted input;
@@ -15,8 +16,8 @@
 //!   radius check into the cast, so out-of-range bins become escapes
 //!   instead of wrapped indices;
 //! * [`f64_to_f32_checked`] / [`float_to_index`] — the float-side
-//!   counterparts demanded by rule R6: narrowing to `f32` must surface
-//!   overflow, and float→index conversions must clamp, not wrap;
+//!   counterparts: narrowing to `f32` must surface overflow, and
+//!   float→index conversions must clamp, not wrap;
 //! * `u32_le`/`u64_le`/`f32_le`/`f64_le` — bounds-checked little-endian
 //!   field readers for container decoders (`None` on short input).
 //!
@@ -85,9 +86,9 @@ pub fn f64_to_f32_select(v: f64) -> (f32, bool) {
 
 /// Converts a float estimate to a slot index clamped to `0..len`:
 /// non-finite or negative inputs map to 0, anything past the end maps to
-/// the last slot. Replaces bare `as usize` on float expressions (rule R6),
-/// whose NaN→0 / overflow saturation semantics are easy to invoke by
-/// accident on corrupt statistics.
+/// the last slot. Replaces bare `as usize` on float expressions, whose
+/// NaN→0 / overflow saturation semantics are easy to invoke by accident on
+/// corrupt statistics.
 #[inline]
 pub fn float_to_index(v: f64, len: usize) -> usize {
     debug_assert!(len > 0, "float_to_index: empty range");
@@ -178,9 +179,6 @@ pub fn quantize_index(bin_f: f64, radius: i32) -> Option<i32> {
 /// overshoots by one only when the `+ 0.5` addition rounds upward across an
 /// integer, and that case is detected exactly because `k − 0.5` is
 /// representable for every admissible `k` (`k ≤ radius + 1 < 2^31`).
-// xtask-allow-fn: R6 -- the float->int cast is range-limited by the radius
-// comparison above it and exactness-corrected below; this helper exists to
-// replace `.round()` + quantize_index with identical semantics.
 #[inline]
 pub fn quantize_round_index(bin_f: f64, radius: i32) -> Option<i32> {
     let (bin, ok) = quantize_round_index_select(bin_f, radius);
@@ -196,7 +194,6 @@ pub fn quantize_round_index(bin_f: f64, radius: i32) -> Option<i32> {
 /// meaningless otherwise. Every operation is a straight-line select, so hot
 /// quantization loops carry no data-dependent branches (`ok` combines into
 /// the caller's own selects instead of an early exit).
-// xtask-allow-fn: R6 -- the float->int cast is range-limited by the `ok` radius comparison (callers discard `bin` when it is false) and exactness-corrected below
 #[inline]
 pub fn quantize_round_index_select(bin_f: f64, radius: i32) -> (i32, bool) {
     let a = bin_f.abs();

@@ -13,7 +13,16 @@
 //! `mode 1` is the LZ+Huffman bitstream.
 
 // Decode paths must never panic on untrusted input (see docs/STATIC_ANALYSIS.md).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented
+    )
+)]
 
 pub mod codes;
 pub mod format;

@@ -7,6 +7,13 @@
 //! invalid points are excluded exactly as the climate community excludes
 //! fill values.
 
+// Truncating or wrapping casts go through the `cliz_grid::cast` helpers (see
+// docs/STATIC_ANALYSIS.md).
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)
+)]
+
 pub mod analysis;
 pub mod error;
 pub mod rate;

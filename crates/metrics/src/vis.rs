@@ -4,7 +4,7 @@
 //! the harness writes original/reconstructed slices side by side so a human
 //! can eyeball compression artifacts the way the paper's Fig. 14 does.
 
-use cliz_grid::{Grid, MaskMap};
+use cliz_grid::{cast, Grid, MaskMap};
 use std::io::Write;
 use std::path::Path;
 
@@ -32,7 +32,8 @@ pub fn slice_to_pgm(slice: &Grid<f32>, mask: Option<&MaskMap>) -> Vec<u8> {
         let px = if mask.is_some_and(|m| !m.is_valid(i)) || !v.is_finite() {
             0u8
         } else {
-            (((v - mn) / range) * 254.0 + 1.0) as u8
+            let level = cast::float_to_index(f64::from(((v - mn) / range) * 254.0 + 1.0), 256);
+            cast::to_u8_checked(level).unwrap_or(u8::MAX)
         };
         out.push(px);
     }

@@ -23,6 +23,13 @@
 //! per point), which makes the downstream classification and multi-Huffman
 //! stages order-independent of the interpolation traversal.
 
+// Truncating or wrapping casts go through the `cliz_grid::cast` helpers (see
+// docs/STATIC_ANALYSIS.md).
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)
+)]
+
 pub mod fitting;
 pub mod interp;
 pub mod reference;

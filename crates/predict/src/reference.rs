@@ -353,6 +353,10 @@ fn ref_predict_at(
     }
 
     let avail = |offset_steps: isize| -> Option<usize> {
+        #[expect(
+            clippy::cast_possible_wrap,
+            reason = "frozen reference, kept verbatim; i and s index an allocated grid, so both are below isize::MAX"
+        )]
         let pos = i as isize + offset_steps * s as isize;
         if pos < 0 || pos as usize >= dim_len {
             return None;

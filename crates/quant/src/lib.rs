@@ -9,8 +9,21 @@
 //! *dispersion* grouping with threshold `λ = 0.4` (Theorem 2), which feeds
 //! the multi-Huffman coder.
 
-// Decode paths must never panic on untrusted input (see docs/STATIC_ANALYSIS.md).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Decode paths must never panic on untrusted input, and truncating or
+// wrapping casts go through the `cliz_grid::cast` helpers (see
+// docs/STATIC_ANALYSIS.md).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap
+    )
+)]
 
 pub mod bound;
 pub mod classify;

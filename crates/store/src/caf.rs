@@ -29,6 +29,14 @@ use std::path::Path;
 
 const DTYPE_F32: u8 = 0;
 
+/// Bytes of values [`read_caf`] stages per read.
+const READ_CHUNK: usize = 1 << 16;
+
+/// Values [`read_caf`] reserves before any has arrived (64 MiB): a field
+/// up to this size lands in one exact allocation, and a header's extents
+/// cannot reserve more than this ahead of the data behind them.
+const RESERVE_AHEAD: usize = 1 << 24;
+
 /// A named climate variable with metadata, as stored in a CAF file.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Dataset {
@@ -208,12 +216,7 @@ pub fn read_caf(r: &mut impl Read) -> Result<Dataset, StoreError> {
     r.read_exact(&mut flags)?;
     let has_mask = flags[0] & 1 == 1;
 
-    let mut bytes = vec![0u8; total * 4];
-    r.read_exact(&mut bytes)?;
-    let values: Vec<f32> = bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
+    let values = read_f32s(r, total)?;
     let shape = Shape::new(&dims);
     let data = Grid::from_vec(shape.clone(), values);
     let mask = if has_mask {
@@ -230,6 +233,27 @@ pub fn read_caf(r: &mut impl Read) -> Result<Dataset, StoreError> {
         data,
         mask,
     })
+}
+
+/// Reads `total` little-endian f32 values in one pass, through a
+/// [`READ_CHUNK`] staging buffer. At most [`RESERVE_AHEAD`] values are
+/// reserved before any has arrived; past that the vector grows only as
+/// values are read, so a header claiming more values than the stream holds
+/// fails on the short read, not on an allocation sized by the claim.
+fn read_f32s(r: &mut impl Read, total: usize) -> Result<Vec<f32>, StoreError> {
+    let mut values: Vec<f32> = Vec::with_capacity(total.min(RESERVE_AHEAD));
+    let mut chunk = vec![0u8; READ_CHUNK];
+    while values.len() < total {
+        let n = (total - values.len()).min(READ_CHUNK / 4);
+        let staged = &mut chunk[..n * 4];
+        r.read_exact(staged)?;
+        values.extend(
+            staged
+                .chunks_exact(4)
+                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+        );
+    }
+    Ok(values)
 }
 
 /// Convenience: write to a filesystem path. The file is replaced only
@@ -413,24 +437,36 @@ mod tests {
 
     #[test]
     fn implausible_header_rejected() {
-        // Handcraft a header claiming a gigantic grid.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&CAF1.magic.to_le_bytes());
-        buf.push(CAF1.version);
-        buf.extend_from_slice(&1u16.to_le_bytes()); // name len 1
-        buf.push(b'x');
-        buf.extend_from_slice(&0u16.to_le_bytes()); // no attrs
-        buf.push(2); // ndim
-        for _ in 0..2 {
-            buf.extend_from_slice(&1u16.to_le_bytes());
-            buf.push(b'd');
-            buf.extend_from_slice(&(u64::MAX / 2).to_le_bytes());
-        }
-        buf.push(DTYPE_F32);
-        buf.push(0);
+        // Handcraft a header claiming an `extent × extent` grid, with no
+        // data behind it.
+        let header = |extent: u64| {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(&CAF1.magic.to_le_bytes());
+            buf.push(CAF1.version);
+            buf.extend_from_slice(&1u16.to_le_bytes()); // name len 1
+            buf.push(b'x');
+            buf.extend_from_slice(&0u16.to_le_bytes()); // no attrs
+            buf.push(2); // ndim
+            for _ in 0..2 {
+                buf.extend_from_slice(&1u16.to_le_bytes());
+                buf.push(b'd');
+                buf.extend_from_slice(&extent.to_le_bytes());
+            }
+            buf.push(DTYPE_F32);
+            buf.push(0);
+            buf
+        };
         assert!(matches!(
-            read_caf(&mut buf.as_slice()),
+            read_caf(&mut header(u64::MAX / 2).as_slice()),
             Err(StoreError::Corrupt(_))
+        ));
+        // 2^36 values, exactly the size cap: 35 bytes that once asked for a
+        // 256 GiB buffer now end in the short read.
+        let capped = header(1 << 18);
+        assert_eq!(capped.len(), 35);
+        assert!(matches!(
+            read_caf(&mut capped.as_slice()),
+            Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
         ));
     }
 }

@@ -36,6 +36,18 @@
 //! assert_eq!(reader.decode_count(), 1);
 //! ```
 
+// Decode paths must never panic on untrusted input (see docs/STATIC_ANALYSIS.md).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented
+    )
+)]
+
 pub mod atomic;
 pub mod cache;
 pub mod caf;

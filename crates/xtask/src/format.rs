@@ -869,7 +869,10 @@ fn loop_spans(b: &[u8], from: usize, to: usize) -> Vec<(usize, usize)> {
     spans
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the extraction context travels as plain arguments into the recursive walk"
+)]
 fn extract(
     product: &[SrcFile],
     fi: usize,
@@ -898,7 +901,10 @@ fn extract(
 
 /// Replays the cursor operations from `anchor_end` to the end of the fn
 /// body into an ordered field program.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "recursive walk: the context plus the memo and depth it threads through helper calls"
+)]
 fn extract_inner(
     product: &[SrcFile],
     fi: usize,

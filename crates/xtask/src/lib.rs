@@ -7,8 +7,8 @@
 //!
 //! Two layers of analysis:
 //!
-//! * per-file token rules (R0–R4, R6) in [`rules`], over lexed code with
-//!   comments/strings/test items blanked ([`lexer`]);
+//! * per-file token rules (R0, R1, R3, R4) in [`rules`], over lexed code
+//!   with comments/strings/test items blanked ([`lexer`]);
 //! * workspace passes over a cross-crate call graph: [`items`] parses `fn`
 //!   items and call/hazard sites, [`callgraph`] links call sites to every
 //!   same-named function, [`taint`] runs the R5 panic-reachability pass
@@ -70,7 +70,7 @@ impl Report {
 }
 
 /// Lints a single source string as if it lived at `rel_path`
-/// (workspace-relative, `/`-separated). Per-file rules only (R0–R4, R6);
+/// (workspace-relative, `/`-separated). Per-file rules only (R0, R1, R3, R4);
 /// the workspace R5 pass needs the whole file set — use [`lint_sources`].
 /// Exposed for fixture tests.
 pub fn lint_source(rel_path: &str, source: &str) -> FileReport {

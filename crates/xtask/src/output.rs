@@ -62,16 +62,14 @@ pub fn to_json(report: &Report) -> String {
 /// Short per-rule descriptions, embedded in the SARIF tool metadata.
 const RULE_DESCRIPTIONS: &[(&str, &str)] = &[
     ("R0", "malformed xtask-allow suppression"),
-    ("R1", "panicking construct in decode-facing code"),
-    ("R2", "bare narrowing integer cast in a hot path"),
+    ("R1", "direct slice indexing of a decoder input buffer in decode-facing code"),
     ("R3", "public codec entry point must return Result"),
     ("R4", "quantizer boundary lacks its debug_assert invariant hook"),
     ("R5", "panic reachable from decode-tainted input (call-graph pass)"),
-    ("R6", "bare float<->int or f64->f32 cast; use cliz_core::cast helpers"),
     ("R7", "unchecked arithmetic/slice/allocation sized by an untrusted length (dataflow pass)"),
     ("R8", "Compressor impl lacks bound-asserting roundtrip test, or eb scaled outside a named helper"),
     ("R9", "lock-discipline hazard: guard held across expensive work, double acquisition, or lock-order cycle (workspace pass)"),
-    ("R10", "shared-state hazard: static mut, unsafe impl Send/Sync, mismatched atomic orderings, bare counter in a Sync type, or escaping interior mutability (workspace pass)"),
+    ("R10", "shared-state hazard: static mut, mismatched atomic orderings, bare counter in a Sync type, or escaping interior mutability (workspace pass)"),
     ("R11", "heap allocation inside a loop reachable from a codec entry point (workspace pass)"),
     ("R12", "single-bit BitReader/BitWriter call in a loop; use word-at-a-time I/O (workspace pass)"),
     ("R13", "vectorization-hostile loop: per-element indexing mixed with a per-iteration mask test (workspace pass)"),
@@ -393,7 +391,7 @@ mod tests {
         let report = report_with(vec![
             ("R5", "crates/a/src/lib.rs", 3),
             ("R5", "crates/a/src/lib.rs", 9),
-            ("R6", "crates/b/src/lib.rs", 1),
+            ("R7", "crates/b/src/lib.rs", 1),
         ]);
         let base = baseline_from_report(&report);
         let text = baseline_to_json(&base);

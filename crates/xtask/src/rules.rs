@@ -4,14 +4,12 @@
 //!
 //! * **R0** — malformed `xtask-allow` suppression (unknown rule id or
 //!   missing ` -- reason`).
-//! * **R1** — panicking construct in decode-facing code: `.unwrap()`,
-//!   `.expect(..)`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`, or
-//!   direct slice indexing of a decoder input buffer (`bytes[..]`,
-//!   `buf[i]`, `data[..]`, …). Corrupt or truncated input must surface as
-//!   `Err`/`None`, never as a panic.
-//! * **R2** — bare `as` cast to a narrowing-prone integer type
-//!   (`u8|u16|u32|i8|i16|i32`) in the quantizer/entropy/predictor hot
-//!   paths; use the `cliz_core::cast` checked helpers instead.
+//! * **R1** — direct slice indexing of a decoder input buffer (`bytes[..]`,
+//!   `buf[i]`, `data[..]`, …) in decode-facing code: corrupt or truncated
+//!   input must surface as `Err`/`None`, never as a panic. The panicking
+//!   calls and macros (`.unwrap()`, `.expect(..)`, `panic!`,
+//!   `unreachable!`, `unimplemented!`) are clippy's: each crate R1 scans
+//!   denies them at its root.
 //! * **R3** — a `pub fn compress*`/`pub fn decompress*` codec entry point
 //!   whose signature does not return `Result`.
 //! * **R4** — quantizer encode/decode boundary (`fn quantize`,
@@ -21,11 +19,6 @@
 //!   decode-tainted entry point. Produced by the workspace pass in
 //!   [`crate::taint`], not by the per-file scan here; the rule id is
 //!   registered so suppressions can name it.
-//! * **R6** — lossy numeric cast in the quantizer/predictor/metrics paths:
-//!   bare `as f32` (f64→f32 precision loss) or an expression-result
-//!   `(..) as usize|u64|i64|isize` (the float→int shape rule R2's
-//!   identifier-cast check cannot see). Use the `cliz_core::cast` helpers
-//!   (`f64_to_f32_checked`, `float_to_index`, `to_usize_checked`).
 //! * **R7** — length-provenance dataflow: unchecked arithmetic, slice
 //!   construction, or allocation sized by a length/offset/count value that
 //!   originated in a container/header parser and has not passed through a
@@ -39,11 +32,10 @@
 //!   decode/codec/IO work, double acquisition of a lock field, or a cycle
 //!   in the pairwise lock-order graph. Produced by the workspace pass in
 //!   [`crate::locks`].
-//! * **R10** — shared-state audit: `static mut`, manual `unsafe impl
-//!   Send/Sync`, mismatched atomic orderings across paired load/store
-//!   sites, non-atomic counters in sync-shared structs, and interior
-//!   mutability escaping via `&self` returns. Produced by the workspace
-//!   pass in [`crate::shared`].
+//! * **R10** — shared-state audit: `static mut`, mismatched atomic
+//!   orderings across paired load/store sites, non-atomic counters in
+//!   sync-shared structs, and interior mutability escaping via `&self`
+//!   returns. Produced by the workspace pass in [`crate::shared`].
 //! * **R11** — heap allocation (`Vec::new`, `vec!`, `.to_vec()`,
 //!   `.clone()`, `.collect()`, `format!`, …) inside a loop of a function
 //!   reachable from a codec entry point, in the kernel crates. Produced by
@@ -100,8 +92,7 @@ pub struct FileReport {
 }
 
 pub const ALL_RULES: &[&str] = &[
-    "R0", "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11", "R12", "R13", "R14",
-    "R15", "R16",
+    "R0", "R1", "R3", "R4", "R5", "R7", "R8", "R9", "R10", "R11", "R12", "R13", "R14", "R15", "R16",
 ];
 
 /// Files/dirs (workspace-relative, `/`-separated prefixes) where R1 applies:
@@ -111,7 +102,6 @@ const R1_SCOPE: &[&str] = &[
     "crates/quant/src/",
     "crates/lossless/src/",
     "crates/core/src/chunked.rs",
-    "crates/core/src/bytesio.rs",
     "crates/core/src/compressor.rs",
     "crates/core/src/pipeline.rs",
     "crates/core/src/periodic.rs",
@@ -121,43 +111,16 @@ const R1_SCOPE: &[&str] = &[
     "crates/serve/src/",
 ];
 
-/// Crates whose hot paths must use checked casts (R2).
-const R2_SCOPE: &[&str] = &[
-    "crates/quant/src/",
-    "crates/entropy/src/",
-    "crates/predict/src/",
-];
-
 /// Crates whose public codec entry points must return `Result` (R3).
 const R3_SCOPE: &[&str] = &["crates/baselines/src/", "crates/core/src/"];
 
 /// Files that must carry the R4 error-bound invariant hooks.
 const R4_FILES: &[&str] = &["crates/quant/src/quantizer.rs"];
 
-/// Crates whose numeric paths must route float↔int / f64→f32 conversions
-/// through the `cliz_core::cast` helpers (R6).
-const R6_SCOPE: &[&str] = &[
-    "crates/quant/src/",
-    "crates/predict/src/",
-    "crates/metrics/src/",
-];
-
-/// Integer destinations R6 checks for the expression-result cast shape
-/// (`(expr) as usize`). R2 already covers the narrowing destinations for
-/// identifier casts; these are the wide types R2 exempts, which is exactly
-/// where a silently truncating float→int cast hides.
-const R6_INT_TYPES: &[&str] = &["usize", "u64", "i64", "isize"];
-
 /// Identifier names treated as decoder input buffers for the R1 indexing
 /// check. Heuristic by design: decode paths in this workspace consistently
 /// use these names, and `xtask-allow` covers deliberate exceptions.
 const INPUT_NAMES: &[&str] = &["bytes", "buf", "data", "input", "payload", "src"];
-
-/// Narrowing-prone `as` destinations flagged by R2. Widening casts
-/// (`u64`, `usize`, `i64`) and int→float casts are deliberately exempt.
-const NARROW_TYPES: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
-
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 fn in_scope(scope: &[&str], rel_path: &str) -> bool {
     scope.iter().any(|p| rel_path.starts_with(p))
@@ -300,9 +263,7 @@ pub fn analyze_file(rel_path: &str, source: &str) -> FileAnalysis {
     let sups = collect_suppressions(&lexed.comments, &active, &lines, &mut report.violations);
 
     let r1 = in_scope(R1_SCOPE, rel_path);
-    let r2 = in_scope(R2_SCOPE, rel_path);
     let r3 = in_scope(R3_SCOPE, rel_path);
-    let r6 = in_scope(R6_SCOPE, rel_path);
 
     let mut i = 0usize;
     while i < b.len() {
@@ -315,90 +276,16 @@ pub fn analyze_file(rel_path: &str, source: &str) -> FileAnalysis {
         i += word.len();
         let line = lines.line_of(start);
 
-        if r1 {
-            // `.unwrap()` / `.expect(` method calls.
-            if (word == "unwrap" || word == "expect")
-                && prev_nonws(b, start).is_some_and(|(_, c)| c == b'.')
-                && next_nonws(b, i).is_some_and(|(_, c)| c == b'(')
-            {
-                raw.push(Violation {
-                    rule: "R1",
-                    line,
-                    message: format!(
-                        "`.{word}()` can panic on corrupt input; return a typed error instead"
-                    ),
-                });
-                continue;
-            }
-            // Panicking macros.
-            if PANIC_MACROS.contains(&word) && next_nonws(b, i).is_some_and(|(_, c)| c == b'!') {
-                raw.push(Violation {
-                    rule: "R1",
-                    line,
-                    message: format!("`{word}!` in decode-facing code; return a typed error"),
-                });
-                continue;
-            }
-            // Direct indexing of decoder input buffers.
-            if INPUT_NAMES.contains(&word) && next_nonws(b, i).is_some_and(|(_, c)| c == b'[') {
-                raw.push(Violation {
-                    rule: "R1",
-                    line,
-                    message: format!(
-                        "direct slice indexing `{word}[..]` on a decoder input; use `.get(..)`"
-                    ),
-                });
-                continue;
-            }
-        }
-
-        if r2 && word == "as" {
-            if let Some((j, _)) = next_nonws(b, i) {
-                let ty = ident_at(b, j);
-                if NARROW_TYPES.contains(&ty) {
-                    raw.push(Violation {
-                        rule: "R2",
-                        line,
-                        message: format!(
-                            "bare `as {ty}` narrowing cast; use a `cliz_core::cast` helper"
-                        ),
-                    });
-                    continue;
-                }
-            }
-        }
-
-        if r6 && word == "as" {
-            if let Some((j, _)) = next_nonws(b, i) {
-                let ty = ident_at(b, j);
-                if ty == "f32" {
-                    raw.push(Violation {
-                        rule: "R6",
-                        line,
-                        message: "bare `as f32` cast loses f64 precision silently; use \
-                                  `cliz_core::cast::f64_to_f32_checked`"
-                            .to_string(),
-                    });
-                    continue;
-                }
-                // `(expr) as usize` — the expression-result shape where a
-                // float→int truncation hides. Identifier casts (`i as u64`)
-                // stay exempt: loop counters and widths, not float math.
-                if R6_INT_TYPES.contains(&ty)
-                    && prev_nonws(b, start).is_some_and(|(_, c)| c == b')')
-                {
-                    raw.push(Violation {
-                        rule: "R6",
-                        line,
-                        message: format!(
-                            "expression-result `as {ty}` cast (possible float→int \
-                             truncation); use `cliz_core::cast::float_to_index` or a \
-                             checked conversion"
-                        ),
-                    });
-                    continue;
-                }
-            }
+        // R1: direct indexing of decoder input buffers.
+        if r1 && INPUT_NAMES.contains(&word) && next_nonws(b, i).is_some_and(|(_, c)| c == b'[') {
+            raw.push(Violation {
+                rule: "R1",
+                line,
+                message: format!(
+                    "direct slice indexing `{word}[..]` on a decoder input; use `.get(..)`"
+                ),
+            });
+            continue;
         }
 
         if r3 && word == "fn" {

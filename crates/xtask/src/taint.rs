@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 const SEED_PREFIXES: &[&str] = &["read_", "load", "open", "parse_", "from_", "unpack"];
 
 /// Function-name substrings that seed taint anywhere in the name
-/// (`decompress_plain`, `range_decode_stream`, `decode_block`, …).
+/// (`decompress_plain`, `multi_decode`, `decode_block`, …).
 const SEED_SUBSTRINGS: &[&str] = &["decompress", "decode"];
 
 /// Path prefixes where *every* function is a taint seed: these modules'

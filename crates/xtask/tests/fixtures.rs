@@ -22,12 +22,12 @@ fn hits(rel_path: &str, source: &str) -> Vec<(&'static str, usize)> {
 }
 
 #[test]
-fn r1_flags_indexing_unwrap_and_panics() {
+fn r1_flags_decoder_input_indexing() {
+    // Line 2 indexes `bytes`. The `.unwrap()` on line 4 and the `panic!` on
+    // line 6 are left to the crate-level clippy deny (`unwrap_used`,
+    // `panic`).
     let src = include_str!("fixtures/r1_panics.rs");
-    assert_eq!(
-        hits("crates/entropy/src/fixture.rs", src),
-        vec![("R1", 2), ("R1", 4), ("R1", 6)]
-    );
+    assert_eq!(hits("crates/entropy/src/fixture.rs", src), vec![("R1", 2)]);
 }
 
 #[test]
@@ -35,17 +35,6 @@ fn r1_is_scoped_to_decode_facing_code() {
     // The same source under a non-decode path raises nothing.
     let src = include_str!("fixtures/r1_panics.rs");
     assert_eq!(hits("crates/bench/src/fixture.rs", src), vec![]);
-}
-
-#[test]
-fn r2_flags_bare_narrowing_casts_only() {
-    let src = include_str!("fixtures/r2_casts.rs");
-    // `as u128` on line 4 widens and is not flagged.
-    assert_eq!(
-        hits("crates/quant/src/fixture.rs", src),
-        vec![("R2", 2), ("R2", 3)]
-    );
-    assert_eq!(hits("crates/grid/src/fixture.rs", src), vec![]);
 }
 
 #[test]
@@ -165,19 +154,6 @@ fn r5_function_suppression_covers_the_hazard_and_counts() {
     let report = lint_sources(&files);
     assert_eq!(report.violations.len(), 0, "{:?}", report.violations);
     assert_eq!(report.suppressed, 1);
-}
-
-#[test]
-fn r6_flags_bare_f32_and_expression_casts_in_scope() {
-    let src = include_str!("fixtures/r6_casts.rs");
-    // Line 2: `x as f32`; line 3: `(n * 2) as usize`. The identifier cast on
-    // line 4 and everything inside the test module stay exempt.
-    assert_eq!(
-        hits("crates/metrics/src/fixture.rs", src),
-        vec![("R6", 2), ("R6", 3)]
-    );
-    // Out of the quant/predict/metrics scope: clean.
-    assert_eq!(hits("crates/grid/src/fixture.rs", src), vec![]);
 }
 
 /// `(rule, line)` pairs of a workspace-pass report, sorted.
@@ -342,19 +318,13 @@ fn r10_flags_shared_state_hazards() {
         include_str!("fixtures/r10_hazards.rs").to_string(),
     )];
     // line 1: `static mut`; line 4: bare `count: u64` in a sync-shared
-    // struct; lines 9/10: manual `unsafe impl Send`/`Sync`; line 14:
-    // `Relaxed` fetch_add on `total` while line 18 loads it with
-    // `Acquire`; line 21: `&self` method returning `&RefCell<..>`.
+    // struct; line 14: `Relaxed` fetch_add on `total` while line 18 loads
+    // it with `Acquire`; line 21: `&self` method returning `&RefCell<..>`.
+    // The manual `unsafe impl Send`/`Sync` on lines 9/10 are rustc's to
+    // reject (`unsafe_code = "deny"`).
     assert_eq!(
         workspace_hits(&files),
-        vec![
-            ("R10", 1),
-            ("R10", 4),
-            ("R10", 9),
-            ("R10", 10),
-            ("R10", 14),
-            ("R10", 21)
-        ]
+        vec![("R10", 1), ("R10", 4), ("R10", 14), ("R10", 21)]
     );
 }
 

@@ -234,16 +234,6 @@ fn chunked_equals_unchunked_reconstruction_bound() {
 }
 
 #[test]
-fn range_coder_roundtrips_arbitrary_symbols() {
-    for_each_case(CASES, |rng| {
-        let len = rng.usize(0..1500);
-        let symbols: Vec<u32> = (0..len).map(|_| rng.usize(0..3000) as u32).collect();
-        let bytes = cliz::entropy::range_encode_stream(&symbols);
-        assert_eq!(cliz::entropy::range_decode_stream(&bytes), Some(symbols));
-    });
-}
-
-#[test]
 fn zlite_roundtrips_arbitrary_bytes() {
     for_each_case(CASES, |rng| {
         let len = rng.usize(0..4096);
