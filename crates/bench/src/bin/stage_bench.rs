@@ -33,7 +33,12 @@
 //!    in-place buffer and the frozen decoder's output bit-for-bit, and is
 //!    gated on speedup too. The `_masked` pair repeats both on the same
 //!    field with a land mask (the stretch-driven masked walk), with the
-//!    same identity gates and speedup gates of their own.
+//!    same identity gates and speedup gates of their own;
+//! 6. **grid permute** — the blocked transpose that lays each slab of the
+//!    archive workload's field out in the working layout (`[8, 120, 240]`
+//!    by `[2, 0, 1]`, values and land mask, each slab read in place from
+//!    its field). Diffed against the frozen per-row gather
+//!    (`cliz::grid::reference::ref_permute_into`) and gated on speedup.
 //!
 //! Every pair with a reference is timed *interleaved* (new/reference
 //! alternating inside one loop) so clock drift and host noise land on both
@@ -54,6 +59,8 @@
 
 use cliz::entropy::huffman::{decode_stream, encode_stream};
 use cliz::entropy::reference::{ref_decode_stream, ref_encode_stream};
+use cliz::grid::reference::ref_permute_into;
+use cliz::grid::{permute_into, Shape};
 use cliz::lossless::reference::{ref_compress, ref_decompress};
 use cliz::lossless::{compress, decompress};
 use cliz::predict::{
@@ -69,6 +76,9 @@ use std::time::Instant;
 /// The scan workload's relative bound, which the `entropy_decode_bins`
 /// stage quantizes the scan field at.
 const BINS_REL_EB: f64 = 1e-3;
+
+/// The `grid_permute` speedup gate (see the gate list in `main`).
+const GRID_PERMUTE_GATE: f64 = 1.1;
 
 /// The median of `v` (the upper one of an even count).
 fn median(mut v: Vec<f64>) -> f64 {
@@ -584,6 +594,77 @@ fn main() {
         mrec_ok,
     ));
 
+    // --- grid: the slab permute, as the archive encoder lays out a slab ---
+    // The archive workload's slabs: eight latitude rows of a [lat, lon,
+    // time] field, permuted time-leading, values and land mask, each read
+    // in place from its field as the chunked encoder reads them. Twelve
+    // slabs (the archive field) on the timed tiers, two on quick.
+    let slab_dims = [8usize, 120, 240];
+    let slab_count = if args.quick { 2 } else { 12 };
+    let slab = Shape::new(&slab_dims);
+    let slab_len = slab.len();
+    let archive_dims = [slab_dims[0] * slab_count, slab_dims[1], slab_dims[2]];
+    let archive = smooth_field(&archive_dims);
+    let archive_land = land_mask(&archive_dims);
+    let archive_perm = [2usize, 0, 1];
+    // Every slab permuted into `values` and `flags`, which are reused from
+    // slab to slab as the encoder's arena buffers are; `seen` gets each
+    // slab's output when given.
+    let permute_slabs = |values: &mut Vec<f32>,
+                         flags: &mut Vec<bool>,
+                         blocked: bool,
+                         seen: &mut dyn FnMut(&[f32], &[bool])| {
+        let slabs = archive.chunks_exact(slab_len);
+        for (v, m) in slabs.zip(archive_land.chunks_exact(slab_len)) {
+            values.clear();
+            flags.clear();
+            if blocked {
+                permute_into(&slab, v, &archive_perm, values);
+                permute_into(&slab, m, &archive_perm, flags);
+            } else {
+                ref_permute_into(&slab, v, &archive_perm, values);
+                ref_permute_into(&slab, m, &archive_perm, flags);
+            }
+            seen(values, flags);
+        }
+    };
+    let (mut values, mut flags) = (Vec::new(), Vec::new());
+    let (mut ref_values, mut ref_flags) = (Vec::new(), Vec::new());
+    let perm_pair = time_pair(
+        reps,
+        || {
+            permute_slabs(&mut values, &mut flags, true, &mut |v, m| {
+                black_box((v, m));
+            })
+        },
+        || {
+            permute_slabs(&mut ref_values, &mut ref_flags, false, &mut |v, m| {
+                black_box((v, m));
+            })
+        },
+    );
+    let (mut got_values, mut got_flags) = (Vec::new(), Vec::new());
+    permute_slabs(&mut values, &mut flags, true, &mut |v, m| {
+        got_values.extend_from_slice(v);
+        got_flags.extend_from_slice(m);
+    });
+    let (mut want_values, mut want_flags) = (Vec::new(), Vec::new());
+    permute_slabs(&mut ref_values, &mut ref_flags, false, &mut |v, m| {
+        want_values.extend_from_slice(v);
+        want_flags.extend_from_slice(m);
+    });
+    let perm_ok = got_values.len() == archive.len()
+        && same_bits(&got_values, &want_values)
+        && got_flags == want_flags;
+    check("grid permute != frozen per-row gather", perm_ok);
+    let archive_mb = (archive.len() * 5) as f64 / 1e6;
+    stages.push(Stage::paired(
+        "grid_permute",
+        archive_mb,
+        &perm_pair,
+        perm_ok,
+    ));
+
     for s in &stages {
         s.print();
     }
@@ -624,8 +705,14 @@ fn main() {
     //   2.52–2.95× over twelve scaled runs on the 2-core host; the
     //   per-point masked walk it replaced scored 1.55–1.70× and
     //   1.42–1.60× over six).
+    // * grid permute ≥ 1.1× — the blocked transpose on the archive
+    //   workload's twelve slabs, values and land mask (observed 1.22–1.44×
+    //   over six scaled runs on the 2-core host, alternated with the
+    //   parent's; the per-row gather against itself reads 1×). The values
+    //   are bound by memory traffic, which both kernels share; the mask's
+    //   flags gain about twice that.
     let gated = !args.quick;
-    let gates: [(&str, f64, f64); 7] = [
+    let gates: [(&str, f64, f64); 8] = [
         ("entropy_decode", dec.speedup, 3.9),
         ("entropy_decode_bins", bins.speedup, 2.5),
         ("zlite_compress", comp.speedup, 1.4),
@@ -633,6 +720,7 @@ fn main() {
         ("predict_reconstruct", rc.speedup, 1.6),
         ("predict_quantize_masked", mpq.speedup, 1.65),
         ("predict_reconstruct_masked", mrc.speedup, 2.2),
+        ("grid_permute", perm_pair.speedup, GRID_PERMUTE_GATE),
     ];
     println!();
     for (name, got, min) in gates {

@@ -11,8 +11,10 @@
 //! n_chunks u32 | offsets (n_chunks+1)×u64 | chunk containers…`.
 //!
 //! [`ChunkIndex`] owns the slab geometry. It validates the dims once, and
-//! it cuts every slab, of the data and of the mask alike, as one contiguous
-//! sub-slice of the row-major buffer. Slabs are independent, so encode and
+//! it reads every slab, of the data and of the mask alike, as one
+//! contiguous sub-slice of the row-major buffer, in place: the encoder
+//! permutes each slab straight from the field into its working layout.
+//! Slabs are independent, so encode and
 //! decode share one scoped worker pool: slab jobs are LPT-grouped by
 //! estimated cost ([`cliz_transfer::assign_lpt`]; the tail slab is thinner
 //! than the rest), the calling thread works one group and each other group
@@ -21,7 +23,7 @@
 //! grid are byte-identical across any worker count, including 1.
 
 use crate::compressor::{
-    compress_alloc_baseline, compress_resolved, decompress_arena, valid_min_max,
+    compress_alloc_baseline, compress_resolved, decompress_arena, valid_min_max, Field,
 };
 use crate::config::PipelineConfig;
 use crate::error::ClizError;
@@ -160,13 +162,20 @@ pub fn compress_chunked_with_threads(
     let (mn, mx) = ranges.as_deref().map_or((0.0, 0.0), fold_ranges);
     let eb_abs = bound.resolve(mn, mx);
 
+    // Each slab is read in place: its values and flags are sub-slices of
+    // the field's, which the slab's encode permutes straight into its
+    // working layout.
     let blobs = run_pool(slabs(), cost, threads, |i, arena| {
-        let (shape, values) = index.cut(data.as_slice(), i)?;
-        let chunk = Grid::from_vec(shape, values);
-        let chunk_mask = mask.map(|m| index.mask_slab(m, i)).transpose()?;
+        let (shape, values) = index.slab(data.as_slice(), i)?;
+        let flags = mask.map(|m| index.slab(m.as_slice(), i)).transpose()?;
+        let chunk = Field {
+            shape: &shape,
+            values,
+            mask: flags.map(|(_, f)| f),
+        };
         // The slab's own `valid_min_max`, when the range pass measured it.
         let range = ranges.as_ref().map(|r| r[i].unwrap_or((0.0, 0.0)));
-        compress_one_chunk(&chunk, chunk_mask.as_ref(), eb_abs, range, config, arena)
+        compress_one_chunk(chunk, eb_abs, range, config, arena)
     })?;
     Ok(assemble_container(&index.dims, chunk_len, &blobs))
 }
@@ -184,13 +193,12 @@ fn fold_ranges(ranges: &[Option<(f32, f32)>]) -> (f32, f32) {
         .unwrap_or((0.0, 0.0))
 }
 
-/// Compresses one cut slab as an independent container under the resolved
+/// Compresses one slab as an independent container under the resolved
 /// bound `eb_abs`; `range` is the slab's `valid_min_max` when the caller
 /// has it. Every pool worker runs this, so the graceful periodicity degrade
 /// stays identical across worker counts.
 fn compress_one_chunk(
-    chunk: &Grid<f32>,
-    chunk_mask: Option<&MaskMap>,
+    chunk: Field<'_>,
     eb_abs: f64,
     range: Option<(f32, f32)>,
     config: &PipelineConfig,
@@ -199,13 +207,12 @@ fn compress_one_chunk(
     // The per-chunk config must validate against the chunk shape
     // (periodicity along axis 0 may not fit a slab).
     let mut chunk_config = config.clone();
-    if chunk_config.validate(chunk.shape()).is_err() {
+    if chunk_config.validate(chunk.shape).is_err() {
         // Degrade gracefully: drop the offending periodicity.
         chunk_config.periodicity = crate::config::Periodicity::None;
-        chunk_config.validate(chunk.shape())?;
+        chunk_config.validate(chunk.shape)?;
     }
-    compress_resolved(chunk, chunk_mask, eb_abs, range, &chunk_config, arena)
-        .map(|(bytes, _)| bytes)
+    compress_resolved(chunk, eb_abs, range, &chunk_config, arena).map(|(bytes, _)| bytes)
 }
 
 /// Writes the CLZC header, offset table and chunk blobs.
@@ -393,14 +400,14 @@ impl ChunkIndex {
         ))
     }
 
-    /// Copies chunk `i` out of a buffer laid row-major over the full dims:
-    /// one contiguous sub-slice, returned with the slab's shape.
-    fn cut<T: Copy>(&self, full: &[T], i: usize) -> Result<(Shape, Vec<T>), ClizError> {
+    /// Chunk `i` of a buffer laid row-major over the full dims, read in
+    /// place: one contiguous sub-slice, returned with the slab's shape.
+    fn slab<'a, T>(&self, full: &'a [T], i: usize) -> Result<(Shape, &'a [T]), ClizError> {
         let (dims, span) = self.locate(i)?;
         let part = full
             .get(span)
             .ok_or(ClizError::BadConfig("buffer does not cover the grid"))?;
-        Ok((Shape::new(&dims), part.to_vec()))
+        Ok((Shape::new(&dims), part))
     }
 
     /// The finite valid range of chunk `i` of `values` and `mask`, both laid
@@ -412,14 +419,9 @@ impl ChunkIndex {
         mask: Option<&MaskMap>,
         i: usize,
     ) -> Result<Option<(f32, f32)>, ClizError> {
-        let (_, span) = self.locate(i)?;
-        let uncovered = || ClizError::BadConfig("buffer does not cover the grid");
-        let part = values.get(span.clone()).ok_or_else(uncovered)?;
-        let flags = match mask {
-            Some(m) => Some(m.as_slice().get(span).ok_or_else(uncovered)?),
-            None => None,
-        };
-        Ok(cliz_grid::finite_range(part, flags))
+        let (_, part) = self.slab(values, i)?;
+        let flags = mask.map(|m| self.slab(m.as_slice(), i)).transpose()?;
+        Ok(cliz_grid::finite_range(part, flags.map(|(_, f)| f)))
     }
 
     /// Chunk `i` of a mask laid over the full dims, as a mask of its own;
@@ -428,8 +430,8 @@ impl ChunkIndex {
         if mask.shape().dims() != self.dims.as_slice() {
             return Err(ClizError::MaskRequired);
         }
-        let (shape, flags) = self.cut(mask.as_slice(), i)?;
-        Ok(MaskMap::from_flags(shape, flags))
+        let (shape, flags) = self.slab(mask.as_slice(), i)?;
+        Ok(MaskMap::from_flags(shape, flags.to_vec()))
     }
 
     /// Carves a full-grid buffer with `split_at_mut` into one disjoint
@@ -921,9 +923,10 @@ mod tests {
                     .map(|i| index.range(data.as_slice(), mask, i).unwrap())
                     .collect();
                 for (i, &range) in ranges.iter().enumerate() {
-                    let (slab_shape, slab) = index.cut(data.as_slice(), i).unwrap();
+                    let (slab_shape, slab) = index.slab(data.as_slice(), i).unwrap();
                     let slab_mask = mask.map(|m| index.mask_slab(m, i).unwrap());
-                    let want = Grid::from_vec(slab_shape, slab).finite_min_max(slab_mask.as_ref());
+                    let want = Grid::from_vec(slab_shape, slab.to_vec())
+                        .finite_min_max(slab_mask.as_ref());
                     assert_eq!(range, want, "slab {i}: {ctx}");
                 }
                 assert_eq!(fold_ranges(&ranges), valid_min_max(&data, mask), "{ctx}");

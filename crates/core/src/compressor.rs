@@ -24,7 +24,9 @@
 
 use crate::config::{Periodicity, PipelineConfig};
 use crate::error::ClizError;
-use crate::periodic::{add_template, build_template, subtract_template_in_place, template_mask};
+use crate::periodic::{
+    add_template, subtract_template_in_place, template_in_layout, template_mask, template_shape,
+};
 use crate::pipeline::{compress_plain_alloc_baseline, decompress_plain, encode_plain, PlainStats};
 use crate::scratch::ScratchArena;
 use cliz_format::{spec::CLIZ, HeaderReader, HeaderWriter};
@@ -62,17 +64,12 @@ pub fn valid_min_max(data: &Grid<f32>, mask: Option<&MaskMap>) -> (f32, f32) {
     data.finite_min_max(mask).unwrap_or((0.0, 0.0))
 }
 
-/// Representative fill value: the first masked value in the data (CESM fill
-/// constants are uniform per variable), or 0 when everything is valid.
-fn representative_fill(data: &Grid<f32>, mask: Option<&MaskMap>) -> f32 {
-    if let Some(m) = mask {
-        for (i, &v) in data.as_slice().iter().enumerate() {
-            if !m.is_valid(i) {
-                return v;
-            }
-        }
-    }
-    0.0
+/// Representative fill value: the first masked value in the data, in its
+/// original layout (CESM fill constants are uniform per variable), or 0
+/// when everything is valid.
+fn representative_fill(values: &[f32], mask: Option<&[bool]>) -> f32 {
+    mask.and_then(|m| values.iter().zip(m).find(|&(_, &ok)| !ok))
+        .map_or(0.0, |(&v, _)| v)
 }
 
 /// Compresses `data` to a self-describing CLIZ container.
@@ -115,32 +112,73 @@ pub fn compress_with_stats_arena(
     // `Abs`, so they scan only for the periodic split.
     let range = matches!(bound, ErrorBound::Rel(_)).then(|| valid_min_max(data, mask));
     let (mn, mx) = range.unwrap_or((0.0, 0.0));
-    compress_resolved(data, mask, bound.resolve(mn, mx), range, config, arena)
+    compress_resolved(
+        Field {
+            shape: data.shape(),
+            values: data.as_slice(),
+            mask: mask.map(MaskMap::as_slice),
+        },
+        bound.resolve(mn, mx),
+        range,
+        config,
+        arena,
+    )
+}
+
+/// A field in its original layout, borrowed: a whole grid, or one slab of
+/// a chunked encode read in place from its field.
+#[derive(Clone, Copy)]
+pub(crate) struct Field<'a> {
+    pub shape: &'a Shape,
+    /// Row-major over `shape`.
+    pub values: &'a [f32],
+    /// Validity flags laid like `values`.
+    pub mask: Option<&'a [bool]>,
 }
 
 /// [`compress_with_stats_arena`] past its input checks, under a bound
-/// already resolved to `eb_abs`: the config is valid for `data` and the
-/// mask has its shape. `range` is `data`'s [`valid_min_max`] when the
+/// already resolved to `eb_abs`: the config is valid for the field and the
+/// mask has its shape. `range` is the field's [`valid_min_max`] when the
 /// caller has it, which only the periodic split reads (its residual
 /// bound's rounding slack); a periodic config handed `None` measures it
-/// here. The chunked encoder calls this per slab with the range its range
-/// pass measured.
+/// here. The chunked encoder calls this per slab, on the slab's sub-slices
+/// of the field, with the range its range pass measured.
+///
+/// The field is laid out once: its values are permuted straight into the
+/// walk's arena buffer, and the mask the sections are encoded against
+/// into the working mask (borrowed under the identity permutation). The
+/// periodic split builds its template and template mask from that buffer
+/// along the working time axis, encodes the template from its own
+/// working-layout buffer, and subtracts the template's reconstruction in
+/// place; the plain path hands the buffer to the walk as it is.
 pub(crate) fn compress_resolved(
-    data: &Grid<f32>,
-    mask: Option<&MaskMap>,
+    field: Field<'_>,
     eb_abs: f64,
     range: Option<(f32, f32)>,
     config: &PipelineConfig,
     arena: &mut ScratchArena,
 ) -> Result<(Vec<u8>, CompressStats), ClizError> {
-    let effective_mask = effective(mask, config);
-    let fill = representative_fill(data, effective_mask);
-    let mut w = container_header(data.shape(), eb_abs, fill, effective_mask.is_some());
+    let effective_mask = effective(field.mask, config);
+    let fill = representative_fill(field.values, effective_mask);
+    let mut w = container_header(field.shape, eb_abs, fill, effective_mask.is_some());
 
     let mut stats = CompressStats {
         eb_abs,
         ..Default::default()
     };
+
+    // The one layout pass: values into the walk's buffer, and the mask.
+    let perm = &config.permutation;
+    let wshape = field.shape.permuted(perm);
+    let mut buf = arena.take_f32();
+    cliz_grid::permute_into(field.shape, field.values, perm, &mut buf);
+    let identity = perm.iter().enumerate().all(|(i, &p)| i == p);
+    let wmask_storage = effective_mask.filter(|_| !identity).map(|m| {
+        let mut flags = Vec::with_capacity(m.len());
+        cliz_grid::permute_into(field.shape, m, perm, &mut flags);
+        flags
+    });
+    let wmask = wmask_storage.as_deref().or(effective_mask);
 
     match config.periodicity {
         Periodicity::Extract { time_axis, period } => {
@@ -152,13 +190,20 @@ pub(crate) fn compress_resolved(
                 periodicity: Periodicity::None,
                 ..config.clone()
             };
+            let working_time_axis = perm
+                .iter()
+                .position(|&p| p == time_axis)
+                .ok_or(ClizError::BadConfig("time axis out of range"))?;
 
-            // Template: per-phase mean, compressed as a nested container.
-            let template = build_template(data, effective_mask, time_axis, period);
-            let tmask = effective_mask.map(|m| template_mask(m, time_axis, period));
+            // Template: per-phase mean, compressed as a nested container,
+            // built and encoded in the working layout.
+            let mut t_buf = arena.take_f32();
+            let tmask =
+                template_in_layout(&buf, &wshape, wmask, working_time_axis, period, &mut t_buf);
             let (t_bytes, t_stats, t_working) = compress_template(
-                &template,
-                tmask.as_ref(),
+                t_buf,
+                &template_shape(field.shape, time_axis, period),
+                tmask.as_deref(),
                 template_eb(eb_abs, config.template_eb_factor),
                 &inner_config,
                 arena,
@@ -169,42 +214,32 @@ pub(crate) fn compress_resolved(
             // (data − template at encode, residual + template at decode),
             // each bounded by half a ULP of the operand magnitude. Without
             // this the reconstruction can land a fraction of a ULP past eb.
-            let (mn, mx) = range.unwrap_or_else(|| valid_min_max(data, mask));
+            let (mn, mx) = range.unwrap_or_else(|| {
+                cliz_grid::finite_range(field.values, field.mask).unwrap_or((0.0, 0.0))
+            });
             let vmax = mn.abs().max(mx.abs()) as f64 + eb_abs;
             let eb_res = residual_eb(eb_abs, vmax);
             // The residual section: the container `compress_with_stats_arena`
             // writes for `subtract_template`'s grid under `Abs(eb_res)`,
             // whose masked points are 0.0, and so is its fill. The residual
             // is built in the walk's buffer instead: the permuted data minus
-            // the template's buffer, both in the working layout, where the
-            // time axis is the one the permutation moved it to.
-            let working_time_axis = inner_config
-                .permutation
-                .iter()
-                .position(|&p| p == time_axis)
-                .ok_or(ClizError::BadConfig("time axis out of range"))?;
-            let mut r = container_header(data.shape(), eb_res, 0.0, effective_mask.is_some());
+            // the template's buffer, both in the working layout.
+            subtract_template_in_place(
+                &mut buf,
+                &wshape,
+                &t_working,
+                wmask,
+                working_time_axis,
+                period,
+            );
+            let mut r = container_header(field.shape, eb_res, 0.0, effective_mask.is_some());
             r.u8(MODE_PLAIN);
-            let (r_stats, r_buf) = encode_plain(
-                data,
-                effective_mask,
-                eb_res,
-                &inner_config,
-                &mut r,
-                arena,
-                |buf, wshape, wmask| {
-                    subtract_template_in_place(
-                        buf,
-                        wshape,
-                        &t_working,
-                        wmask,
-                        working_time_axis,
-                        period,
-                    )
-                },
-            )?;
-            arena.recycle_f32(r_buf);
+            let (r_stats, r_buf) =
+                encode_plain(buf, &wshape, wmask, eb_res, &inner_config, &mut r, arena)?;
+            // The template's buffer goes back first, so the next field's
+            // first take gets the larger one.
             arena.recycle_f32(t_working);
+            arena.recycle_f32(r_buf);
             w.block(&t_bytes);
             w.block(&r.finish());
             stats.escapes = t_stats.escapes + r_stats.escapes;
@@ -213,15 +248,7 @@ pub(crate) fn compress_resolved(
         }
         Periodicity::None => {
             w.u8(MODE_PLAIN);
-            let (plain, buf) = encode_plain(
-                data,
-                effective_mask,
-                eb_abs,
-                config,
-                &mut w,
-                arena,
-                |_, _, _| {},
-            )?;
+            let (plain, buf) = encode_plain(buf, &wshape, wmask, eb_abs, config, &mut w, arena)?;
             arena.recycle_f32(buf);
             stats.escapes = plain.escapes;
             stats.classification_used = plain.classification_used;
@@ -235,8 +262,8 @@ pub(crate) fn compress_resolved(
 
 /// The mask the pipeline reads: `mask` when the config uses it and it has
 /// an invalid point, else none.
-fn effective<'m>(mask: Option<&'m MaskMap>, config: &PipelineConfig) -> Option<&'m MaskMap> {
-    mask.filter(|m| config.use_mask && !m.is_all_valid())
+fn effective<'m>(mask: Option<&'m [bool]>, config: &PipelineConfig) -> Option<&'m [bool]> {
+    mask.filter(|m| config.use_mask && m.contains(&false))
 }
 
 /// A container's header up to its mode byte: magic, shape, the resolved
@@ -255,30 +282,38 @@ fn container_header(shape: &Shape, eb_abs: f64, fill: f32, masked: bool) -> Head
     w
 }
 
-/// The periodic split's template as the nested plain container that
-/// [`compress_with_stats_arena`] would write for it under
-/// `ErrorBound::Abs(eb_abs)`, with its stats and the walk's buffer: the
+/// The periodic split's template section: the nested plain container that
+/// [`compress_with_stats_arena`] would write for the template under
+/// `ErrorBound::Abs(eb_abs)`, with its stats and the walk's buffer, the
 /// reconstruction the decoder will see at every valid point, in the
 /// working layout ([`encode_plain`]). The buffer is `arena`'s.
+///
+/// `t_buf` is the template already in the working layout (`t_shape`, its
+/// original-layout shape, permuted by `config.permutation`), and `tmask`
+/// its template mask laid alike. The header keeps `t_shape`'s dims. Its
+/// fill is 0.0: a template cell is invalid only when its phase column has
+/// no valid point, so no value reached it and it holds 0.0.
 fn compress_template(
-    template: &Grid<f32>,
-    tmask: Option<&MaskMap>,
+    t_buf: Vec<f32>,
+    t_shape: &Shape,
+    tmask: Option<&[bool]>,
     eb_abs: f64,
     config: &PipelineConfig,
     arena: &mut ScratchArena,
 ) -> Result<(Vec<u8>, PlainStats, Vec<f32>), ClizError> {
     let effective_mask = effective(tmask, config);
-    let fill = representative_fill(template, effective_mask);
-    let mut w = container_header(template.shape(), eb_abs, fill, effective_mask.is_some());
+    debug_assert!(representative_fill(&t_buf, effective_mask) == 0.0);
+    let mut w = container_header(t_shape, eb_abs, 0.0, effective_mask.is_some());
     w.u8(MODE_PLAIN);
+    let t_wshape = t_shape.permuted(&config.permutation);
     let (stats, working) = encode_plain(
-        template,
+        t_buf,
+        &t_wshape,
         effective_mask,
         eb_abs,
         config,
         &mut w,
         arena,
-        |_, _, _| {},
     )?;
     Ok((w.finish(), stats, working))
 }
@@ -336,7 +371,7 @@ pub fn compress_alloc_baseline(
     };
     let (mn, mx) = valid_min_max(data, mask);
     let eb_abs = bound.resolve(mn, mx);
-    let fill = representative_fill(data, effective_mask);
+    let fill = representative_fill(data.as_slice(), effective_mask.map(MaskMap::as_slice));
 
     let mut w = HeaderWriter::new();
     w.magic(&CLIZ);
@@ -635,9 +670,20 @@ mod tests {
                             };
                             let tag = format!("{fitting:?} {permutation:?} {classification} {eb}");
                             let mut arena = ScratchArena::new();
-                            let (bytes, stats, working) =
-                                compress_template(&template, Some(&tmask), eb, &config, &mut arena)
-                                    .unwrap();
+                            // The template and its mask as the encoder
+                            // builds them: in the working layout.
+                            let mut t_buf = arena.take_f32();
+                            template.permuted_into(&permutation, &mut t_buf);
+                            let wmask = tmask.permuted(&permutation);
+                            let (bytes, stats, working) = compress_template(
+                                t_buf,
+                                template.shape(),
+                                Some(wmask.as_slice()),
+                                eb,
+                                &config,
+                                &mut arena,
+                            )
+                            .unwrap();
                             escapes += stats.escapes;
                             let (public, _) = compress_with_stats_arena(
                                 &template,
@@ -651,7 +697,6 @@ mod tests {
                             let decoded = decompress(&bytes, Some(&tmask))
                                 .unwrap()
                                 .permuted(&permutation);
-                            let wmask = tmask.permuted(&permutation);
                             assert_eq!(working.len(), decoded.len());
                             for i in (0..working.len()).filter(|&i| wmask.is_valid(i)) {
                                 assert_eq!(
@@ -730,7 +775,7 @@ mod tests {
                     r.u32().unwrap();
                     let (t_bytes, r_bytes) = (r.block().unwrap(), r.block().unwrap());
 
-                    let eff = effective(mask, &config);
+                    let eff = effective(mask.map(MaskMap::as_slice), &config).and(mask);
                     let tmask = eff.map(|m| template_mask(m, 2, 6));
                     let template = decompress(t_bytes, tmask.as_ref()).unwrap();
                     assert_eq!(template.shape(), build_template(&g, eff, 2, 6).shape());

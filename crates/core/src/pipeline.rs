@@ -67,70 +67,44 @@ fn classification_plane(dims: &[usize]) -> Option<usize> {
 /// `out`, and returns its stats and the walk's buffer, which the caller
 /// hands back to `arena` once done with it.
 ///
-/// The hot path: the working copy the walk overwrites is the input
-/// permuted straight into an `arena` buffer (a plain copy for the identity
-/// permutation), an identity permutation borrows the mask, the symbol
-/// buffers come from `arena` too and go back to it before returning, and
-/// unmasked data feeds the entropy coder straight from the symbol grid
-/// with no gather pass. Output bytes are identical to
-/// [`compress_plain_alloc_baseline`] — the arena only changes where the
-/// intermediate buffers live, never what is written.
+/// `buf` is the grid already in the working layout: `wshape` is its shape
+/// permuted by `config.permutation`, and `wmask`, when given, holds the
+/// flags of the mask the section is encoded against, permuted likewise,
+/// with at least one invalid point. The caller lays the data out once
+/// (the chunked encoder straight from the field's slab), and the walk
+/// overwrites `buf` in place. The symbol buffers come from `arena` and go
+/// back to it before returning, and unmasked data feeds the entropy coder
+/// straight from the symbol grid with no gather pass. Output bytes are
+/// identical to [`compress_plain_alloc_baseline`] on the grid before its
+/// permute — the arena only changes where the intermediate buffers live,
+/// never what is written.
 ///
 /// The returned buffer holds the reconstruction in the working layout
-/// (`data`'s shape permuted by `config.permutation`; un-fusing is a
-/// reshape). At every valid point it is the value [`decompress_plain`]
-/// will decode from the bytes written, bit for bit, before the
-/// un-permute; a masked point keeps what the walk read there. The
-/// periodic encoder takes its residual against the template's buffer, in
-/// that layout, instead of decoding the template.
-///
-/// `prepare` rewrites the working copy in place before the walk reads it,
-/// given the working shape and, when the mask is active, the working
-/// mask's flags: the periodic residual is the permuted data minus the
-/// template, built in this buffer, so no residual grid is ever made.
+/// (un-fusing is a reshape). At every valid point it is the value
+/// [`decompress_plain`] will decode from the bytes written, bit for bit,
+/// before the un-permute; a masked point keeps what the walk read there.
+/// The periodic encoder takes its residual against the template's buffer,
+/// in that layout, instead of decoding the template.
 pub(crate) fn encode_plain(
-    data: &Grid<f32>,
-    mask: Option<&MaskMap>,
+    mut buf: Vec<f32>,
+    wshape: &Shape,
+    wmask: Option<&[bool]>,
     eb_abs: f64,
     config: &PipelineConfig,
     out: &mut HeaderWriter,
     arena: &mut ScratchArena,
-    prepare: impl FnOnce(&mut [f32], &Shape, Option<&[bool]>),
 ) -> Result<(PlainStats, Vec<f32>), ClizError> {
-    // 1. Physical permutation (data and mask travel together), straight into
-    //    the walk's buffer. The identity permutation is the common tuned
-    //    outcome: the values are one copy and the mask is borrowed.
-    let identity = config.permutation.iter().enumerate().all(|(i, &p)| i == p);
-    let wshape = data.shape().permuted(&config.permutation);
-    let mut buf = arena.take_f32();
-    data.permuted_into(&config.permutation, &mut buf);
-    let mask_active = match mask {
-        Some(m) => config.use_mask && !m.is_all_valid(),
-        None => false,
-    };
-    let wmask_storage: Option<MaskMap> = match mask {
-        Some(m) if mask_active && !identity => Some(m.permuted(&config.permutation)),
-        _ => None,
-    };
-    let wmask: Option<&MaskMap> = if mask_active {
-        wmask_storage.as_ref().or(mask)
-    } else {
-        None
-    };
-    let mask_slice = wmask.map(|m| m.as_slice());
-    prepare(&mut buf, &wshape, mask_slice);
-
-    // 2. Fusion: pure reshape of the working layout.
-    let fused = fuse_shape(&wshape, config.fusion);
+    // 1. Fusion: pure reshape of the working layout.
+    let fused = fuse_shape(wshape, config.fusion);
     let dims = fused.dims().to_vec();
 
-    // 3. Predict + quantize into a raster-order symbol grid. The predictor
+    // 2. Predict + quantize into a raster-order symbol grid. The predictor
     //    overwrites the working copy with the reconstruction. A masked
     //    section's stretches are built once, here, and drive the walk and
     //    the symbol gather.
     let quantizer = LinearQuantizer::new(eb_abs);
-    let stretches = mask_slice.map(|m| Stretches::new(m, dims[dims.len() - 1]));
-    let params = match (mask_slice, &stretches) {
+    let stretches = wmask.map(|m| Stretches::new(m, dims[dims.len() - 1]));
+    let params = match (wmask, &stretches) {
         (Some(m), Some(st)) => InterpParams::with_stretches(config.fitting, m, st),
         _ => InterpParams::new(config.fitting),
     };
@@ -138,7 +112,7 @@ pub(crate) fn encode_plain(
     symbols.resize(buf.len(), 0);
     let escapes = predict_quantize(&mut buf, &dims, &params, &quantizer, &mut symbols);
 
-    // 4. Optional classification (may auto-disable).
+    // 3. Optional classification (may auto-disable).
     let mut class: Option<Classification> = None;
     if config.classification {
         if let Some(h_len) = classification_plane(&dims) {
@@ -146,15 +120,15 @@ pub(crate) fn encode_plain(
                 lambda: config.lambda,
                 ..ClassifySpec::default()
             };
-            let c = classify(&symbols, h_len, mask_slice, spec);
+            let c = classify(&symbols, h_len, wmask, spec);
             if !c.is_trivial() {
-                apply_shifts(&mut symbols, &c, mask_slice);
+                apply_shifts(&mut symbols, &c, wmask);
                 class = Some(c);
             }
         }
     }
 
-    // 5. Entropy-code the valid symbols. Without a mask every symbol is
+    // 4. Entropy-code the valid symbols. Without a mask every symbol is
     //    valid, so the coder reads the symbol grid in place — the gather
     //    pass (and its full-size allocation) only runs for masked data, and
     //    copies whole stretches.
@@ -168,25 +142,25 @@ pub(crate) fn encode_plain(
     };
     let stream = match &class {
         Some(c) => {
-            let groups = c.group_sequence(symbols.len(), mask_slice);
+            let groups = c.group_sequence(symbols.len(), wmask);
             multi_encode(valid_symbols, &groups, 2)
         }
         None => huffman::encode_stream(valid_symbols),
     };
 
-    // 6. Literals for escapes, in raster order over valid positions. The
+    // 5. Literals for escapes, in raster order over valid positions. The
     //    walk counted them, so a section without one skips the scan.
     let mut literals = Vec::with_capacity(escapes * 4);
     if escapes > 0 {
         for (i, (&s, &v)) in symbols.iter().zip(&buf).enumerate() {
-            if s == ESCAPE && mask_slice.is_none_or(|m| m[i]) {
+            if s == ESCAPE && wmask.is_none_or(|m| m[i]) {
                 literals.extend_from_slice(&v.to_le_bytes());
             }
         }
     }
     debug_assert_eq!(literals.len(), escapes * 4);
 
-    // 7. Assemble payload and squeeze with the lossless backend.
+    // 6. Assemble payload and squeeze with the lossless backend.
     let mut payload = HeaderWriter::new();
     match &class {
         Some(c) => payload.block(&c.marker_bytes()),
@@ -196,7 +170,7 @@ pub(crate) fn encode_plain(
     payload.raw(&literals);
     let packed = cliz_lossless::compress(&payload.finish());
 
-    // 8. Section header + payload.
+    // 7. Section header + payload.
     for &p in &config.permutation {
         out.u8(p as u8);
     }
@@ -527,6 +501,27 @@ mod tests {
         })
     }
 
+    /// [`encode_plain`] on `data` laid out as the compressor lays it: the
+    /// values permuted into an arena buffer, and the mask, when it has an
+    /// invalid point, permuted likewise.
+    fn encode(
+        data: &Grid<f32>,
+        mask: Option<&MaskMap>,
+        eb: f64,
+        config: &PipelineConfig,
+        out: &mut HeaderWriter,
+        arena: &mut ScratchArena,
+    ) -> Result<(PlainStats, Vec<f32>), ClizError> {
+        let mut buf = arena.take_f32();
+        data.permuted_into(&config.permutation, &mut buf);
+        let wmask = mask
+            .filter(|m| !m.is_all_valid())
+            .map(|m| m.permuted(&config.permutation));
+        let wshape = data.shape().permuted(&config.permutation);
+        let wflags = wmask.as_ref().map(MaskMap::as_slice);
+        encode_plain(buf, &wshape, wflags, eb, config, out, arena)
+    }
+
     fn roundtrip(
         data: &Grid<f32>,
         mask: Option<&MaskMap>,
@@ -535,10 +530,13 @@ mod tests {
     ) -> (Grid<f32>, PlainStats) {
         let mut arena = ScratchArena::new();
         let mut w = HeaderWriter::new();
-        let (stats, buf) =
-            encode_plain(data, mask, eb, config, &mut w, &mut arena, |_, _, _| {}).unwrap();
+        let (stats, buf) = encode(data, mask, eb, config, &mut w, &mut arena).unwrap();
+        // The section is the frozen baseline's, byte for byte.
+        let mut baseline = HeaderWriter::new();
+        compress_plain_alloc_baseline(data, mask, eb, config, &mut baseline).unwrap();
         arena.recycle_f32(buf);
         let bytes = w.finish();
+        assert_eq!(bytes, baseline.finish(), "section bytes");
         let mut r = HeaderReader::new(&bytes);
         let out =
             decompress_plain(&mut r, data.shape().dims(), eb, mask, -7.0, &mut arena).unwrap();
@@ -889,7 +887,7 @@ mod tests {
         let cfg = PipelineConfig::default_for(2);
         let mut arena = ScratchArena::new();
         let mut w = HeaderWriter::new();
-        encode_plain(&g, None, 1e-3, &cfg, &mut w, &mut arena, |_, _, _| {}).unwrap();
+        encode(&g, None, 1e-3, &cfg, &mut w, &mut arena).unwrap();
         let mut bytes = w.finish();
         let n = bytes.len();
         bytes.truncate(n / 2);

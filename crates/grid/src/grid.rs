@@ -1,6 +1,7 @@
 //! Owned dense N-dimensional array.
 
 use crate::mask::MaskMap;
+use crate::permute::permute_into;
 use crate::shape::Shape;
 
 /// An owned, dense, row-major N-dimensional array.
@@ -188,51 +189,6 @@ pub(crate) fn permute_values<T: Copy>(shape: &Shape, values: &[T], perm: &[usize
     let mut out = Vec::with_capacity(values.len());
     permute_into(shape, values, perm, &mut out);
     out
-}
-
-/// Appends `values`, row-major over `shape`, to `out` in the layout of
-/// `shape.permuted(perm)`. The identity permutation is one slice copy.
-/// Otherwise the output is written in linear order, so the write stream is
-/// sequential: an odometer over every output axis but the last steps once
-/// per output row, and each row is one strided gather from the source (a
-/// slice copy when the stride is 1).
-fn permute_into<T: Copy>(shape: &Shape, values: &[T], perm: &[usize], out: &mut Vec<T>) {
-    if perm.iter().enumerate().all(|(i, &p)| i == p) {
-        out.extend_from_slice(values);
-        return;
-    }
-    let last = shape.ndim() - 1;
-    let dims: Vec<usize> = perm.iter().map(|&p| shape.dim(p)).collect();
-    let gather: Vec<usize> = perm.iter().map(|&p| shape.stride(p)).collect();
-    let (row_len, row_stride) = (dims[last], gather[last]);
-    let start = out.len();
-    out.reserve(values.len());
-    let mut coords = vec![0usize; last];
-    let mut base = 0usize;
-    loop {
-        let row = &values[base..=base + (row_len - 1) * row_stride];
-        if row_stride == 1 {
-            out.extend_from_slice(row);
-        } else {
-            out.extend((0..row_len).map(|k| row[k * row_stride]));
-        }
-        // Next row: increment the odometer from the last outer axis.
-        let mut axis = last;
-        loop {
-            if axis == 0 {
-                debug_assert_eq!(out.len() - start, values.len());
-                return;
-            }
-            axis -= 1;
-            coords[axis] += 1;
-            base += gather[axis];
-            if coords[axis] < dims[axis] {
-                break;
-            }
-            base -= gather[axis] * dims[axis];
-            coords[axis] = 0;
-        }
-    }
 }
 
 impl Grid<f32> {
@@ -443,7 +399,8 @@ mod tests {
 
     /// Every permutation of ranks 1–4, unit dims included: the values
     /// permuted into a buffer that already holds other values (as an
-    /// arena's may) are [`Grid::permuted`]'s, bit for bit.
+    /// arena's may) are the frozen per-row gather's, bit for bit, and so
+    /// are [`Grid::permuted`]'s.
     #[test]
     fn permuted_into_matches_permuted() {
         let shapes: [&[usize]; 8] = [
@@ -463,9 +420,17 @@ mod tests {
             let values = Grid::from_vec(shape, (0..n).map(|i| (i as f32 * 0.61).cos()).collect());
             for perm in Shape::all_permutations(dims.len()) {
                 values.permuted_into(&perm, &mut buf);
-                let want = values.permuted(&perm);
+                let mut want = Vec::new();
+                crate::reference::ref_permute_into(
+                    values.shape(),
+                    values.as_slice(),
+                    &perm,
+                    &mut want,
+                );
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&buf), bits(want.as_slice()), "{dims:?} {perm:?}");
+                assert_eq!(bits(&buf), bits(&want), "{dims:?} {perm:?}");
+                let permuted = values.permuted(&perm);
+                assert_eq!(bits(permuted.as_slice()), bits(&want), "{dims:?} {perm:?}");
             }
         }
     }

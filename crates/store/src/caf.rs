@@ -163,6 +163,17 @@ pub fn write_caf(w: &mut impl Write, ds: &Dataset) -> Result<(), StoreError> {
 
 /// Deserializes a dataset from any reader.
 pub fn read_caf(r: &mut impl Read) -> Result<Dataset, StoreError> {
+    read_fields(r).map_err(|e| match e {
+        StoreError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+            StoreError::Corrupt("truncated")
+        }
+        e => e,
+    })
+}
+
+/// [`read_caf`]'s parse, whose short reads surface as `read_exact`'s
+/// `UnexpectedEof`.
+fn read_fields(r: &mut impl Read) -> Result<Dataset, StoreError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if u32::from_le_bytes(magic) != CAF1.magic {
@@ -461,12 +472,35 @@ mod tests {
             Err(StoreError::Corrupt(_))
         ));
         // 2^36 values, exactly the size cap: 35 bytes that once asked for a
-        // 256 GiB buffer now end in the short read.
+        // 256 GiB buffer now end in the short read, which is a truncated
+        // file, as the CZS reader calls it.
         let capped = header(1 << 18);
         assert_eq!(capped.len(), 35);
         assert!(matches!(
             read_caf(&mut capped.as_slice()),
-            Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
+            Err(StoreError::Corrupt("truncated"))
         ));
+    }
+
+    /// Every cut point of a small masked CAF and of a small unmasked one:
+    /// each prefix is a corrupt file, never an I/O error and never a panic.
+    #[test]
+    fn every_cut_is_corrupt_not_io() {
+        let masked = sample();
+        let unmasked = Dataset::new("T", masked.data.clone(), None);
+        for ds in [masked, unmasked] {
+            let mut buf = Vec::new();
+            write_caf(&mut buf, &ds).unwrap();
+            assert_eq!(read_caf(&mut buf.as_slice()).unwrap(), ds);
+            for cut in 0..buf.len() {
+                let got = std::panic::catch_unwind(|| read_caf(&mut &buf[..cut]).map(|_| ()));
+                assert!(
+                    matches!(got, Ok(Err(StoreError::Corrupt("truncated")))),
+                    "cut {cut} of {} (masked {}): {got:?}",
+                    buf.len(),
+                    ds.mask.is_some()
+                );
+            }
+        }
     }
 }
